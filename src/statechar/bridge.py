@@ -199,12 +199,15 @@ def _round_to_marginals(joint: np.ndarray, row: np.ndarray,
 
     Scales rows then columns down where they overshoot, then spreads the
     remaining deficit as a rank-one patch.  Leaves matrices that already have
-    the target marginals untouched.
+    the target marginals untouched.  After the scalings every deficit is
+    nonnegative in exact arithmetic (Altschuler, Weed and Rigollet 2017,
+    Alg. 2); the roundoff that leaves one slightly negative is clipped, or
+    the patch could push a cell below zero.
     """
     x = joint * np.minimum(1.0, row / joint.sum(axis=1))[:, None]
     x = x * np.minimum(1.0, col / x.sum(axis=0))[None, :]
-    def_row = row - x.sum(axis=1)
-    def_col = col - x.sum(axis=0)
+    def_row = np.maximum(row - x.sum(axis=1), 0.0)
+    def_col = np.maximum(col - x.sum(axis=0), 0.0)
     deficit = def_row.sum()
     if deficit > 0.0:
         x = x + np.outer(def_row, def_col) / deficit

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -79,7 +80,8 @@ class ProblemInstance:
 
     ``utility`` is stored rescaled (u / lambda); ``lam`` keeps the original
     scale for reporting.  Arrays are read-only; instances are safe to share
-    across threads.
+    across threads.  Derived arrays (``log_phi``, ``log_mu`` and the logit
+    kernel's scaling) are computed on first use and cached read-only.
     """
 
     characteristic_labels: tuple
@@ -98,13 +100,25 @@ class ProblemInstance:
     def m(self) -> int:
         return len(self.state_labels)
 
-    @property
+    @cached_property
     def log_phi(self) -> np.ndarray:
-        return np.log(self.phi)
+        return _readonly(np.log(self.phi))
 
-    @property
+    @cached_property
     def log_mu(self) -> np.ndarray:
-        return np.log(self.mu)
+        return _readonly(np.log(self.mu))
+
+    @cached_property
+    def _logit_scaling(self):
+        """``(cmax, E)`` with cmax = column max of u/lambda and
+        E = exp(u/lambda - cmax), or None when some column's span exceeds
+        ``_scaled_span_bound(n)`` and the kernel must stay in the log domain.
+        Built on first use of the weighted-logit kernel, never by the bridge.
+        """
+        cmax = self.utility.max(axis=0)
+        if float(np.max(cmax - self.utility.min(axis=0))) > _scaled_span_bound(self.n):
+            return None
+        return _readonly(cmax), _readonly(np.exp(self.utility - cmax))
 
 
 @dataclass(frozen=True)
@@ -342,20 +356,121 @@ def surprisal_matrix(P: Coupling, inst: ProblemInstance, rows=None) -> Surprisal
     return SurprisalMatrix(values=values, defined=defined)
 
 
+# --- the weighted-logit kernel ---------------------------------------------
+#
+# Every closed-form quantity of the model is one weighted multinomial logit
+# with log weights  log w~ = alpha*log phi + (1-alpha)*log w  (exactly log phi
+# at alpha = 1, so nothing there depends on w):
+#
+#     log Z(t) = logsumexp_x [log w~(x) + u(x,t)/lambda]
+#     P(x|t)   = exp(log w~(x) + u(x,t)/lambda - log Z(t))
+#     g(x)     = (phi(x)/w(x))^alpha * sum_t mu(t) exp(u(x,t)/lambda - log Z(t))
+#
+# With E = exp(u/lambda - cmax) cached per instance, log Z and g are one
+# matrix-vector product each (the scaling form of entropic OT).  Weights are
+# shifted by s = max log w~, so a weight and a column sum both lie in (0, 1]
+# and [e^-span, n].  A term that underflows carries at most 2^-1022 of mass
+# per cell against a column sum of at least e^-span, a relative error of at
+# most n * 2^-1022 * e^span; below the span bound that stays under one unit
+# of roundoff (2^-52).  Wider spans are evaluated in the log domain.
+
+def _scaled_span_bound(n: int) -> float:
+    """Largest per-column u/lambda span the scaled kernel evaluates exactly:
+    n * 2^-1022 * e^span <= 2^-52, i.e. span <= (1022 - 52) ln 2 - ln n."""
+    return (1022 - 52) * math.log(2.0) - math.log(n)
+
+
+class _LogDomainLogit:
+    """The kernel at one weight vector, by max-shifted sums in the log domain.
+
+    Exact for any utility span; the reference the scaled form is tested
+    against.  ``log_z`` may be passed in when it is already known for these
+    weights (the outer loop reuses the accepted candidate's).
+    """
+
+    def __init__(self, weights, inst: ProblemInstance, log_z=None):
+        self.inst = inst
+        with np.errstate(divide="ignore"):  # zero weights drop out of log Z
+            self.log_weights = np.log(np.asarray(weights, dtype=float))
+        if inst.alpha == 1.0:
+            self.log_w = inst.log_phi
+        else:
+            self.log_w = (inst.alpha * inst.log_phi
+                          + (1.0 - inst.alpha) * self.log_weights)
+        self.log_z = self._log_partition() if log_z is None else log_z
+
+    def _log_ratio(self) -> np.ndarray:
+        """alpha * log(phi / w), the log of the factor (phi/w)^alpha of g."""
+        return self.inst.alpha * (self.inst.log_phi - self.log_weights)
+
+    def _log_partition(self) -> np.ndarray:
+        return logsumexp(self.log_w[:, None] + self.inst.utility, axis=0)
+
+    def ccp(self) -> np.ndarray:
+        return np.exp(self.log_w[:, None] + self.inst.utility - self.log_z[None, :])
+
+    def multiplier(self) -> np.ndarray:
+        inst = self.inst
+        log_terms = ((inst.log_mu - self.log_z)[None, :] + inst.utility
+                     + self._log_ratio()[:, None])
+        shift = log_terms.max(axis=1, keepdims=True)
+        return np.exp(shift[:, 0]) * np.exp(log_terms - shift).sum(axis=1)
+
+
+class _ScaledLogit(_LogDomainLogit):
+    """The kernel as matrix-vector products with the cached E.
+
+    With s = max log w~, shifted weights w' = exp(log w~ - s) <= 1 and
+    column sums S = w' E (so log Z = cmax + s + log S):
+
+        log Z = log w~(k) + u(k,.)/lambda + log1p(sum_{x != k} w'(x) E(x,.) / E(k,.))
+        g     = exp(alpha*log(phi/w) - s + log E (mu / S)),  1/S = exp(cmax + s - log Z)
+
+    where k is the heaviest row (w'(k) = 1).  The first is log S split the
+    way a max-shifted log-sum-exp splits it, so a dominant row costs no
+    roundoff.  g is assembled in the log domain, so a tiny w cannot overflow
+    a factor while g itself is finite.  P(x|t) keeps the log-domain form
+    with the shared log Z: it is evaluated once per solve, not per iteration.
+    """
+
+    def __init__(self, weights, inst: ProblemInstance, log_z=None):
+        self.cmax, self.kernel = inst._logit_scaling
+        super().__init__(weights, inst, log_z)
+
+    def _log_partition(self) -> np.ndarray:
+        top = int(np.argmax(self.log_w))
+        rest = np.exp(self.log_w - self.log_w[top])
+        rest[top] = 0.0
+        return (self.log_w[top] + self.inst.utility[top]
+                + np.log1p((rest @ self.kernel) / self.kernel[top]))
+
+    def multiplier(self) -> np.ndarray:
+        shift = self.log_w.max()
+        inverse_sums = np.exp(self.cmax + shift - self.log_z)
+        mass = self.kernel @ (self.inst.mu * inverse_sums)
+        return np.exp(self._log_ratio() - shift + np.log(mass))
+
+
+def _logit(weights, inst: ProblemInstance, log_z=None) -> _LogDomainLogit:
+    """The kernel evaluator for this instance's span: scaled when exact."""
+    if inst._logit_scaling is None:
+        return _LogDomainLogit(weights, inst, log_z)
+    return _ScaledLogit(weights, inst, log_z)
+
+
 def log_partition(weights: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    """log Z(theta; nu) per state, via a max-shifted exponential sum.
+    """log Z(theta; nu) per state.
 
     Z(theta; nu) = sum_x phi(x)^alpha * nu(x)^(1-alpha) * exp(u(x,theta)/lambda).
     Accepts weights with zero entries (their terms vanish for alpha < 1; for
     alpha = 1 the weights do not enter at all).
+
+    When every state's u/lambda span is at most (1022 - 52) ln 2 - ln n
+    (about 672 - ln n) this is one matrix-vector product with the instance's
+    cached exp(u/lambda - column max), exact to roundoff; wider spans use a
+    max-shifted log-sum-exp over all cells.
     """
-    w = np.asarray(weights, dtype=float)
-    if inst.alpha == 1.0:
-        log_base = inst.log_phi
-    else:
-        with np.errstate(divide="ignore"):
-            log_base = inst.alpha * inst.log_phi + (1.0 - inst.alpha) * np.log(w)
-    return logsumexp(log_base[:, None] + inst.utility, axis=0)
+    return _logit(weights, inst).log_z
 
 
 def partition_function(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
@@ -370,13 +485,7 @@ def mnl_ccp(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
     Columns sum to 1; all entries are strictly positive.  For alpha = 1 the
     result does not depend on nu (Maxwell-Boltzmann form).
     """
-    w = nu.weights
-    if inst.alpha == 1.0:
-        log_num = inst.log_phi[:, None] + inst.utility
-    else:
-        log_num = (inst.alpha * inst.log_phi
-                   + (1.0 - inst.alpha) * np.log(w))[:, None] + inst.utility
-    return np.exp(log_num - log_partition(w, inst)[None, :])
+    return _logit(nu.weights, inst).ccp()
 
 
 def coupling_from_marginal(nu: Marginal, inst: ProblemInstance):

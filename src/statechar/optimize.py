@@ -19,7 +19,7 @@ optimal and nu* is its row marginal under mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .model import (
     Marginal,
     ProblemInstance,
     ValidationError,
+    _logit,
     coupling_from_marginal,
     log_partition,
     mnl_ccp,
@@ -65,17 +66,15 @@ def jensen_envelope(nu: Marginal, inst: ProblemInstance) -> float:
     return inst.lam * _f_norm(nu.weights, inst)
 
 
-def foc_multiplier(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
+def foc_multiplier(nu: Marginal, inst: ProblemInstance, *,
+                   log_z: np.ndarray | None = None) -> np.ndarray:
     """First-order multiplier g(.; nu); g = 1 at the optimal marginal.
 
     Always satisfies sum_x nu(x) g(x) = 1 exactly (up to roundoff).
+    ``log_z``, when given, must be ``log_partition(nu.weights, inst)``; it
+    saves recomputing the partition function.
     """
-    w = nu.weights
-    log_z = log_partition(w, inst)
-    log_terms = (inst.log_mu[None, :] - log_z[None, :] + inst.utility
-                 + inst.alpha * (inst.log_phi - np.log(w))[:, None])
-    shift = log_terms.max(axis=1, keepdims=True)
-    return np.exp(shift[:, 0]) * np.exp(log_terms - shift).sum(axis=1)
+    return _logit(nu.weights, inst, log_z).multiplier()
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,13 @@ def _maxwell_boltzmann_marginal(inst: ProblemInstance) -> Marginal:
 
 
 def maxwell_boltzmann_ccp(inst: ProblemInstance) -> np.ndarray:
-    """Closed-form conditional phi * exp(u/lambda) / Z; optimal when alpha = 1."""
-    log_num = inst.log_phi[:, None] + inst.utility
-    shift = log_num.max(axis=0, keepdims=True)
-    num = np.exp(log_num - shift)
-    return num / num.sum(axis=0, keepdims=True)
+    """Closed-form conditional phi * exp(u/lambda) / Z; optimal when alpha = 1.
+
+    This is mnl_ccp at alpha = 1, where the marginal drops out.
+    """
+    if inst.alpha != 1.0:
+        inst = replace(inst, alpha=1.0)
+    return mnl_ccp(Marginal(weights=inst.phi), inst)
 
 
 def outer_solve(inst: ProblemInstance,
@@ -112,6 +113,12 @@ def outer_solve(inst: ProblemInstance,
     non-decreasing along the accepted sequence.  Stops when
     max |g - 1| <= tol; on max_iter exhaustion the best iterate is returned
     flagged ``converged=False``.
+
+    Each iteration evaluates the weighted-logit kernel twice: log Z at the
+    candidate (which gives f) and g at the accepted iterate, reusing that
+    candidate's log Z.  Below the span bound of ``log_partition`` both are
+    one matrix-vector product with the instance's cached exp(u/lambda -
+    column max); otherwise both run in the log domain.
 
     alpha = 1 is routed to the closed form (f is constant in nu there).
     """
@@ -128,12 +135,13 @@ def outer_solve(inst: ProblemInstance,
                            iterations=0, converged=True)
 
     w = inst.phi.copy() if start is None else start.weights.copy()
-    f_cur = _f_norm(w, inst)
+    log_z = log_partition(w, inst)
+    f_cur = float(np.dot(inst.mu, log_z))
     residual = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, int(max_iter) + 1):
-        g = foc_multiplier(Marginal(weights=w), inst)
+        g = foc_multiplier(Marginal(weights=w), inst, log_z=log_z)
         residual = float(np.max(np.abs(g - 1.0)))
         if residual <= tol:
             converged = True
@@ -142,12 +150,12 @@ def outer_solve(inst: ProblemInstance,
         for _ in range(60):
             cand = w * g ** eta
             cand /= cand.sum()
-            f_cand = _f_norm(cand, inst)
+            cand_log_z = log_partition(cand, inst)
+            f_cand = float(np.dot(inst.mu, cand_log_z))
             if f_cand >= f_cur - 1e-15 * (1.0 + abs(f_cur)):
                 break
             eta *= 0.5  # monotone safeguard: reject f-decreasing steps
-        w = cand
-        f_cur = f_cand
+        w, log_z, f_cur = cand, cand_log_z, f_cand
     return OuterResult(nu=Marginal(weights=w), foc_residual=residual,
                        f_value=inst.lam * f_cur,
                        iterations=iterations, converged=converged)

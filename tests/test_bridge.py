@@ -200,6 +200,39 @@ def test_gap_exact_zero_product_case(flat2x2):
     assert abs(sol.duality_gap) <= 1e-14
 
 
+def steep_transport_instance(seed, n, m, s):
+    """u(x, t) = -s (x - t)^2 on sorted uniform points; priors from (0.2, 1)."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, size=n))
+    t = np.sort(rng.uniform(0.0, 1.0, size=m))
+    phi = rng.uniform(0.2, 1.0, size=n)
+    mu = rng.uniform(0.2, 1.0, size=m)
+    return sc.make_instance([f"x{i}" for i in range(n)], [f"t{j}" for j in range(m)],
+                            -s * (x[:, None] - t[None, :]) ** 2,
+                            phi / phi.sum(), mu / mu.sum(), alpha=0.5, lam=1.0)
+
+
+@pytest.mark.parametrize("inst", [
+    generated_instance(0, 30, 30, u_range=(0, 40)),
+    generated_instance(3, 50, 50, lam=0.02),
+], ids=["u-span-40", "lambda-0.02"])
+def test_certificate_at_wide_utility_span(inst):
+    # Roundoff left a rounding deficit near -3e-18 here, and the rank-one
+    # patch then made the certified coupling negative.
+    sol = sc.full_solve(inst)
+    assert sol.converged
+    assert -1e-12 <= sol.duality_gap <= 1e-8
+
+
+def test_steep_transport_bridge_certifies():
+    inst = steep_transport_instance(0, 100, 10, 100.0)
+    nu = sc.Marginal(weights=inst.phi)
+    sol = sc.sinkhorn_solve(inst, nu)
+    assert sol.converged
+    assert sol.coupling.joint.min() >= 0.0
+    assert -1e-12 <= sol.duality_gap <= 1e-8
+
+
 def test_gauge_shift_leaves_everything_unchanged():
     inst = generated_instance(13, 3, 3, alpha=0.5)
     nu = uniform_marginal(3)

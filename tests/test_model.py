@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import statechar as sc
+from statechar import model
 from statechar.io import generated_instance
 
 from conftest import random_coupling, random_simplex
@@ -330,6 +331,61 @@ def test_mnl_ccp_alpha_one_ignores_marginal():
     b = sc.mnl_ccp(sc.Marginal(weights=random_simplex(rng, 3)), inst)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(a, sc.maxwell_boltzmann_ccp(inst), atol=1e-15)
+
+
+# --- scaled kernel against the log-domain reference --------------------------
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.floats(1e-3, 1.0), st.floats(0.0, 200.0), st.floats(0.0, 300.0))
+@settings(max_examples=150, deadline=None)
+def test_scaled_kernel_matches_log_domain(seed, n, m, alpha, span, tiny):
+    rng = np.random.default_rng(seed)
+    inst = sc.make_instance(range(n), range(m),
+                            span * rng.uniform(-0.5, 0.5, size=(n, m)),
+                            random_simplex(rng, n), random_simplex(rng, m),
+                            alpha, 1.0)
+    assert inst._logit_scaling is not None  # the matrix-vector path is taken
+    # marginal entries spread log-uniformly down to 10^-tiny
+    w = 10.0 ** -rng.uniform(0.0, tiny, size=n)
+    nu = sc.Marginal(weights=w / w.sum())
+    ref = model._LogDomainLogit(nu.weights, inst)
+    np.testing.assert_allclose(sc.log_partition(nu.weights, inst), ref.log_z,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sc.mnl_ccp(nu, inst), ref.ccp(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sc.foc_multiplier(nu, inst), ref.multiplier(),
+                               rtol=1e-12, atol=0)
+
+
+def test_wide_span_falls_back_to_log_domain():
+    # One 2-cell column with u/lambda span 800 whose two terms are equal:
+    # exp(u/lambda - column max) underflows the second to 0, which would
+    # drop log 2 from log Z.  (log_partition takes any nonnegative weights;
+    # a marginal could not offset a span this wide.)
+    alpha = 0.5
+    inst = sc.make_instance(["a", "b"], ["t"], [[800.0], [0.0]],
+                            [1e-300, 1.0 - 1e-300], [1.0], alpha, 1.0)
+    assert inst._logit_scaling is None
+    top = alpha * math.log(inst.phi[0]) + (1 - alpha) * math.log(1e-300) + 800.0
+    weights = np.array([1e-300,
+                        math.exp((top - alpha * math.log(inst.phi[1])) / (1 - alpha))])
+    terms = (alpha * np.log(inst.phi) + (1 - alpha) * np.log(weights)
+             + inst.utility[:, 0])
+    assert terms[0] == pytest.approx(terms[1], abs=1e-12)
+    expected = terms.max() + math.log1p(math.exp(terms.min() - terms.max()))
+    assert sc.log_partition(weights, inst)[0] == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(terms[0] + math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, size, alpha, iterations", [
+    (0, 100, 0.05, 424),
+    (1, 50, 0.1, 203),
+])
+def test_outer_iteration_count_pinned(seed, size, alpha, iterations):
+    # Counts of the log-domain kernel: the scaled kernel changes only roundoff,
+    # so the outer loop must take exactly as many steps.
+    res = sc.outer_solve(generated_instance(seed, size, size, alpha=alpha))
+    assert res.converged
+    assert res.iterations == iterations
 
 
 # --- coupling assembly -------------------------------------------------------
