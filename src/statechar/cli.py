@@ -1,19 +1,23 @@
 """Batch front end.
 
-Commands: solve, bridge, entry, oracle, diagnose, gen.  Machine reports are
-written to ``--report`` as canonical JSON (fixed field order, 17 significant
-digits); human tables on stdout are rendered from the same report dict, never
-computed separately.  Exit codes: 0 success, 2 input error, 3 non-convergence.
+Commands: solve, bridge, entry, oracle, diagnose, gen.  The five instance
+commands run through one skeleton, ``_run``: each supplies only its report
+body, its stdout rendering and its ok/not-ok outcome, and declares only the
+options it reads; the report's ``flags`` echo its tuning options.  Machine
+reports are written to ``--report`` as canonical JSON (fixed field order, 17
+significant digits); human tables on stdout are rendered from the same report
+dict, never computed separately.  Exit codes: 0 success, 2 input error, 3
+non-convergence.
 
 Reports are byte-identical across runs for fixed inputs and seeds; wall-clock
 timings are added only on request (``--timings``) since they would break that
-guarantee.
+guarantee.  Library functions are looked up in this module's namespace at call
+time, so that a tracer can swap timing wrappers in for them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -30,7 +34,7 @@ from .diagnostics import (
     run_diagnostics,
 )
 from .entry import entry_report, solve_entry_pair
-from .io import dumps_canonical, gen_instance, instance_hash, load_instance
+from .io import dumps_canonical, gen_instance, instance_hash, load_instance, read_json
 from .model import (
     ConvergenceError,
     Coupling,
@@ -41,39 +45,16 @@ from .model import (
     mutual_information,
     objective_value,
 )
-from .optimize import brute_force_oracle, full_solve, ORACLE_MAX_CELLS
+from .optimize import brute_force_oracle, full_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", help="write the machine-readable JSON report here")
-    p.add_argument("--outer-tol", type=float, default=1e-10)
-    p.add_argument("--inner-tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings in the report "
-                        "(makes reports non-reproducible byte-for-byte)")
-
-
-def _flags_dict(args) -> dict:
-    return {
-        "outer_tol": args.outer_tol,
-        "inner_tol": args.inner_tol,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-    }
-
-
-def _emit(report: dict, args, elapsed: float) -> None:
-    if args.timings:
-        report["timings"] = {"seconds": elapsed}
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(report))
+# Tuning options by report key.  A command's report echoes the ones it
+# declares as "flags"; every command declares them in this order.
+_TUNING = {"outer_tol": (float, 1e-10), "inner_tol": (float, 1e-10),
+           "max_iter": (int, 100_000), "seed": (int, 0)}
 
 
 def _fmt(x) -> str:
@@ -130,23 +111,15 @@ def _solution_payload(inst, sol) -> dict:
     }
 
 
-def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    inst, raw = load_instance(args.instance)
-    sol = full_solve(inst, outer_tol=args.outer_tol, inner_tol=args.inner_tol,
-                     max_iter=args.max_iter)
+def _solve(args, inst):
+    sol = full_solve(inst, outer_tol=args.outer_tol, max_iter=args.max_iter)
     diag = run_diagnostics(sol, inst)
-    report = {
-        "command": "solve",
-        "version": __version__,
-        "instance_hash": instance_hash(raw),
-        "flags": _flags_dict(args),
-        "solution": _solution_payload(inst, sol),
-        "diagnostics": _diagnostics_payload(diag),
-    }
-    elapsed = time.perf_counter() - t0
-    _emit(report, args, elapsed)
+    return ({"solution": _solution_payload(inst, sol),
+             "diagnostics": _diagnostics_payload(diag)},
+            sol.converged and diag.all_passed)
 
+
+def _show_solve(report, inst) -> None:
     s = report["solution"]
     _print_vector("optimal marginal nu*", inst.characteristic_labels, s["nu_star"])
     _print_matrix("conditional choice probabilities P(x|t)",
@@ -158,37 +131,19 @@ def _cmd_solve(args) -> int:
     print(f"duality gap = {_fmt(s['duality_gap'])}   "
           f"foc residual = {_fmt(s['foc_residual'])}")
     print(f"diagnostics passed: {report['diagnostics']['all_passed']}")
-    print(f"elapsed: {elapsed:.3f} s")
-    if not sol.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK if diag.all_passed else EXIT_NO_CONVERGENCE
 
 
-def _load_nu(path, inst) -> Marginal:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    weights = raw.get("nu") if isinstance(raw, dict) else raw
-    arr = np.asarray(weights, dtype=float)
-    if arr.shape != (inst.n,):
-        raise ValidationError(f"{path}: nu must have length {inst.n}")
-    return Marginal(weights=arr)
+def _bridge(args, inst):
+    def parse(raw):
+        weights = np.asarray(raw.get("nu") if isinstance(raw, dict) else raw,
+                             dtype=float)
+        if weights.shape != (inst.n,):
+            raise ValidationError(f"nu must have length {inst.n}")
+        return Marginal(weights=weights)
 
-
-def _cmd_bridge(args) -> int:
-    t0 = time.perf_counter()
-    inst, raw = load_instance(args.instance)
-    nu = _load_nu(args.nu, inst)
+    nu = read_json(args.nu, parse)
     sol = sinkhorn_solve(inst, nu, tol=args.inner_tol, max_iter=args.max_iter)
-    report = {
-        "command": "bridge",
-        "version": __version__,
-        "instance_hash": instance_hash(raw),
-        "flags": _flags_dict(args),
+    return ({
         "nu": nu.weights.tolist(),
         "bridge": {
             "converged": sol.converged,
@@ -203,34 +158,24 @@ def _cmd_bridge(args) -> int:
             "b": sol.potentials.b.tolist(),
             "coupling": sol.coupling.joint.tolist(),
         },
-    }
-    elapsed = time.perf_counter() - t0
-    _emit(report, args, elapsed)
+    }, sol.converged)
 
+
+def _show_bridge(report, inst) -> None:
     b = report["bridge"]
     _print_vector("potential a(x)", inst.characteristic_labels, b["a"])
     _print_vector("potential b(t)", inst.state_labels, b["b"])
     print(f"V(nu) = {_fmt(b['value_V'])}   iterations = {b['iterations']}")
     print(f"marginal residual = {_fmt(b['marginal_residual'])}   "
           f"duality gap = {_fmt(b['duality_gap'])}")
-    print(f"elapsed: {elapsed:.3f} s")
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_entry(args) -> int:
-    t0 = time.perf_counter()
-    base, base_raw = load_instance(args.instance)
-    entrant, entrant_raw = load_instance(args.entrant)
+def _entry(args, base, entrant):
     pair = solve_entry_pair(base, entrant, outer_tol=args.outer_tol,
-                            inner_tol=args.inner_tol, max_iter=args.max_iter)
+                            max_iter=args.max_iter)
     rep = entry_report(pair, tol=args.constancy_tol, alpha_tol=args.alpha_tol)
     labels = base.characteristic_labels
-    report = {
-        "command": "entry",
-        "version": __version__,
-        "instance_hash": instance_hash(base_raw),
-        "entrant_hash": instance_hash(entrant_raw),
-        "flags": _flags_dict(args),
+    return ({
         "constancy_tol": args.constancy_tol,
         "alpha_tol": args.alpha_tol,
         "base_nu": pair.base_solution.nu_star.weights.tolist(),
@@ -244,10 +189,10 @@ def _cmd_entry(args) -> int:
         "alpha_spread": rep.alpha_spread,
         "informative_pairs": rep.informative_pairs,
         "passed": rep.passed,
-    }
-    elapsed = time.perf_counter() - t0
-    _emit(report, args, elapsed)
+    }, True)
 
+
+def _show_entry(report, base, entrant) -> None:
     print(f"{'x1':>8} {'x2':>8} {'deviation':>12} {'constant':>9} {'alpha_hat':>12}")
     for row in report["pairs"]:
         a = "-" if row["alpha_hat"] is None else _fmt(row["alpha_hat"])
@@ -256,24 +201,12 @@ def _cmd_entry(args) -> int:
     med = "-" if report["alpha_median"] is None else _fmt(report["alpha_median"])
     print(f"alpha median = {med}   informative pairs = {report['informative_pairs']}")
     print(f"restrictions passed: {report['passed']}")
-    print(f"elapsed: {elapsed:.3f} s")
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
-    inst, raw = load_instance(args.instance)
-    if inst.n * inst.m > ORACLE_MAX_CELLS:
-        raise ValidationError(f"oracle: instance has {inst.n * inst.m} cells; "
-                              f"the guard allows {ORACLE_MAX_CELLS}")
+def _oracle(args, inst):
     oracle = brute_force_oracle(inst, iterations=args.iterations, seed=args.seed)
-    sol = full_solve(inst, outer_tol=args.outer_tol, inner_tol=args.inner_tol,
-                     max_iter=args.max_iter)
-    report = {
-        "command": "oracle",
-        "version": __version__,
-        "instance_hash": instance_hash(raw),
-        "flags": _flags_dict(args),
+    sol = full_solve(inst, outer_tol=args.outer_tol, max_iter=args.max_iter)
+    return ({
         "iterations": args.iterations,
         "oracle": {
             "U_oracle": oracle.u_best,
@@ -284,30 +217,22 @@ def _cmd_oracle(args) -> int:
             "start_values": list(oracle.start_values),
         },
         "solution": _solution_payload(inst, sol),
-    }
-    elapsed = time.perf_counter() - t0
-    _emit(report, args, elapsed)
+    }, sol.converged)
 
+
+def _show_oracle(report, inst) -> None:
     o = report["oracle"]
     print(f"U (solver)  = {_fmt(o['U_solver'])}")
     print(f"U (oracle)  = {_fmt(o['U_oracle'])}")
     print(f"difference  = {_fmt(o['difference'])}")
     print(f"max |nu_solver - nu_oracle| = {_fmt(o['marginal_max_diff'])}")
-    print(f"elapsed: {elapsed:.3f} s")
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_diagnose(args) -> int:
-    t0 = time.perf_counter()
-    inst, raw = load_instance(args.instance)
+def _diagnose(args, inst):
     if args.coupling:
-        try:
-            with open(args.coupling, "r", encoding="utf-8") as fh:
-                joint = np.asarray(json.load(fh), dtype=float)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise ValidationError(f"{args.coupling}: {exc}") from None
-        P = Coupling(joint=joint)
-        body = {
+        P = read_json(args.coupling,
+                      lambda raw: Coupling(joint=np.asarray(raw, dtype=float)))
+        return ({"diagnostics": {
             "mode": "coupling",
             "gibbs_deviation": gibbs_check(P, inst),
             "jensen_gap": jensen_gap(P, inst),
@@ -315,28 +240,64 @@ def _cmd_diagnose(args) -> int:
             "density_bounds": list(density_bounds(P.marginal_x, inst)),
             "objective": objective_value(P, inst),
             "information_cost": information_cost(P, inst),
-        }
-        exit_code = EXIT_OK
-    else:
-        sol = full_solve(inst, outer_tol=args.outer_tol,
-                         inner_tol=args.inner_tol, max_iter=args.max_iter)
-        diag = run_diagnostics(sol, inst)
-        body = {"mode": "solution", **_diagnostics_payload(diag)}
-        exit_code = (EXIT_OK if sol.converged and diag.all_passed
-                     else EXIT_NO_CONVERGENCE)
-    report = {
-        "command": "diagnose",
-        "version": __version__,
-        "instance_hash": instance_hash(raw),
-        "flags": _flags_dict(args),
-        "diagnostics": body,
-    }
-    elapsed = time.perf_counter() - t0
-    _emit(report, args, elapsed)
-    for key, value in body.items():
+        }}, True)
+    sol = full_solve(inst, outer_tol=args.outer_tol, max_iter=args.max_iter)
+    diag = run_diagnostics(sol, inst)
+    return ({"diagnostics": {"mode": "solution", **_diagnostics_payload(diag)}},
+            sol.converged and diag.all_passed)
+
+
+def _show_diagnose(report, inst) -> None:
+    for key, value in report["diagnostics"].items():
         print(f"{key}: {value}")
+
+
+# name -> (help, instance-file options, (flag, argparse keywords) of the other
+# inputs, _TUNING keys, body, show).  A body maps (args, *instances) to
+# (report body, ok); show prints the report for (report, *instances).  Each
+# instance-file option adds "<name>_hash" to the report header.
+_COMMANDS = {
+    "solve": ("full solve plus diagnostics", ("instance",), (),
+              ("outer_tol", "max_iter"), _solve, _show_solve),
+    "bridge": (
+        "two-marginal solve at a fixed nu", ("instance",),
+        (("--nu", dict(required=True, help="JSON file: array or {\"nu\": [...]}")),),
+        ("inner_tol", "max_iter"), _bridge, _show_bridge),
+    "entry": (
+        "entry restrictions and alpha identification", ("instance", "entrant"),
+        (("--constancy-tol", dict(type=float, default=1e-6)),
+         ("--alpha-tol", dict(type=float, default=1e-4))),
+        ("outer_tol", "max_iter"), _entry, _show_entry),
+    "oracle": ("brute-force cross-check (n*m <= 12)", ("instance",),
+               (("--iterations", dict(type=int, default=3000)),),
+               ("outer_tol", "max_iter", "seed"), _oracle, _show_oracle),
+    "diagnose": (
+        "structural checks on a solution or coupling", ("instance",),
+        (("--coupling", dict(help="JSON n x m joint matrix to diagnose as-is")),),
+        ("outer_tol", "max_iter"), _diagnose, _show_diagnose),
+}
+
+
+def _run(args) -> int:
+    _, files, _, tuning, body, show = _COMMANDS[args.command]
+    t0 = time.perf_counter()
+    loaded = [load_instance(getattr(args, name)) for name in files]
+    report = {"command": args.command, "version": __version__}
+    for name, (_, raw) in zip(files, loaded):
+        report[f"{name}_hash"] = instance_hash(raw)
+    report["flags"] = {key: getattr(args, key) for key in tuning}
+    insts = [inst for inst, _ in loaded]
+    payload, ok = body(args, *insts)
+    report.update(payload)
+    elapsed = time.perf_counter() - t0
+    if args.timings:
+        report["timings"] = {"seconds": elapsed}
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(report))
+    show(report, *insts)
     print(f"elapsed: {elapsed:.3f} s")
-    return exit_code
+    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
 def _cmd_gen(args) -> int:
@@ -359,36 +320,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solve and test state-characteristic rational-inattention problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="full solve plus diagnostics")
-    p.add_argument("--instance", required=True)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("bridge", help="two-marginal solve at a fixed nu")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--nu", required=True, help="JSON file: array or {\"nu\": [...]}")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_bridge)
-
-    p = sub.add_parser("entry", help="entry restrictions and alpha identification")
-    p.add_argument("--instance", required=True, help="base instance file")
-    p.add_argument("--entrant", required=True, help="entrant instance file")
-    p.add_argument("--constancy-tol", type=float, default=1e-6)
-    p.add_argument("--alpha-tol", type=float, default=1e-4)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_entry)
-
-    p = sub.add_parser("oracle", help="brute-force cross-check (n*m <= 12)")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--iterations", type=int, default=3000)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("diagnose", help="structural checks on a solution or coupling")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--coupling", help="JSON n x m joint matrix to diagnose as-is")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_diagnose)
+    for name, (text, files, options, tuning, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for file in files:
+            p.add_argument(f"--{file}", required=True, help=f"{file} JSON file")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        for key in tuning:
+            kind, default = _TUNING[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=default)
+        p.add_argument("--report", help="write the machine-readable JSON report here")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report "
+                            "(makes reports non-reproducible byte-for-byte)")
+        p.set_defaults(func=_run)
 
     p = sub.add_parser("gen", help="generate a pseudo-random instance file")
     p.add_argument("--seed", type=int, default=0)
@@ -407,12 +352,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_INPUT if isinstance(exc, ValidationError) else EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

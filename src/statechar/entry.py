@@ -60,14 +60,13 @@ def _require_shared(base: ProblemInstance, entrant: ProblemInstance) -> None:
 
 
 def solve_entry_pair(base: ProblemInstance, entrant: ProblemInstance,
-                     outer_tol: float = 1e-10, inner_tol: float = 1e-10,
+                     outer_tol: float = 1e-10,
                      max_iter: int = 100_000) -> EntryPair:
     """Validate shared fields and solve both sides of the entry experiment."""
     _require_shared(base, entrant)
     sols = []
     for name, inst in (("base", base), ("entrant", entrant)):
-        sol = full_solve(inst, outer_tol=outer_tol, inner_tol=inner_tol,
-                         max_iter=max_iter)
+        sol = full_solve(inst, outer_tol=outer_tol, max_iter=max_iter)
         if not sol.converged:
             raise ConvergenceError(f"entry pair: {name} solve did not converge")
         sols.append(sol)

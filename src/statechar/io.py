@@ -20,6 +20,7 @@ __all__ = [
     "INSTANCE_FIELDS",
     "dumps_canonical",
     "load_instance",
+    "read_json",
     "instance_payload",
     "instance_hash",
     "gen_instance",
@@ -69,26 +70,33 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
-def load_instance(path):
-    """Parse and validate an instance file; returns (instance, raw payload)."""
+def read_json(path, parse):
+    """``parse`` of a JSON file's value; an unreadable file, invalid JSON or a
+    TypeError/ValueError from ``parse`` becomes a ValidationError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON "
                               f"({exc.msg})") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parse_instance(raw):
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
+        raise ValidationError("top level must be a JSON object")
     missing = [f for f in INSTANCE_FIELDS if f not in raw]
     if missing:
-        raise ValidationError(f"{path}: missing field(s) {missing}")
-    try:
-        inst = validate_instance(raw)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return inst, raw
+        raise ValidationError(f"missing field(s) {missing}")
+    return validate_instance(raw), raw
+
+
+def load_instance(path):
+    """Parse and validate an instance file; returns (instance, raw payload)."""
+    return read_json(path, _parse_instance)
 
 
 def instance_payload(raw: dict) -> dict:

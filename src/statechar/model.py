@@ -65,11 +65,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_simplex(w: np.ndarray, name: str, tol: float) -> None:
-    if np.any(w < 0):
-        raise ValidationError(f"{name}: negative probability entry at index "
-                              f"{int(np.argmin(w))} ({w.min()!r})")
+    # Written so that NaN fails each test (every comparison with NaN is false).
+    if not (w >= 0).all():
+        raise ValidationError(f"{name}: negative or NaN probability entry at "
+                              f"index {int(np.argmin(w))} ({w.min()!r})")
     total = float(w.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValidationError(f"{name}: entries sum to {total!r}, off the "
                               f"simplex by more than {tol}")
 
@@ -132,7 +133,7 @@ class Marginal:
         if w.ndim != 1:
             raise ValidationError("marginal must be a vector")
         _check_simplex(w, "marginal", SIMPLEX_TOL)
-        if w.min() <= 0.0:
+        if not w.min() > 0.0:
             raise ValidationError("marginal must be strictly positive; "
                                   f"min entry is {w.min()!r}")
         object.__setattr__(self, "weights", w)
@@ -154,10 +155,10 @@ class Coupling:
         j = _readonly(self.joint)
         if j.ndim != 2:
             raise ValidationError("coupling must be a matrix")
-        if np.any(j < 0):
-            raise ValidationError("coupling has a negative entry")
+        if not (j >= 0).all():
+            raise ValidationError("coupling has a negative or NaN entry")
         total = float(j.sum())
-        if abs(total - 1.0) > SIMPLEX_TOL * j.size:
+        if not abs(total - 1.0) <= SIMPLEX_TOL * j.size:
             raise ValidationError(f"coupling mass is {total!r}, not 1")
         object.__setattr__(self, "joint", j)
 
@@ -207,9 +208,9 @@ def validate_instance(raw) -> ProblemInstance:
     feasible policy puts mass there), the priors are renormalized, and the
     utility matrix is divided by lambda.
 
-    Raises ValidationError on: negative probabilities, simplex sums off by
-    more than 1e-9, non-finite utilities, alpha outside (0, 1], lambda <= 0,
-    or an empty characteristic/state set after pruning.
+    Raises ValidationError on: negative or NaN probabilities, simplex sums
+    off by more than 1e-9, non-finite utilities, alpha outside (0, 1],
+    lambda <= 0, or an empty characteristic/state set after pruning.
     """
     try:
         chars = list(raw["characteristics"])

@@ -286,3 +286,100 @@ def test_gen_then_solve(tmp_path):
     path = str(tmp_path / "g.json")
     main(["gen", "--seed", "5", "--n", "3", "--m", "3", "--out", path])
     assert main(["solve", "--instance", path]) == 0
+
+
+# --- malformed and non-finite inputs ------------------------------------------
+
+def test_nan_prior_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(
+        SYM2X2, characteristics=["a", "b", "c"],
+        utility=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], phi=[0.5, 0.5, math.nan])))
+    assert "NaN" in path.read_text()
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert "phi" in capsys.readouterr().err
+
+
+def test_bridge_nan_nu_exit_2_before_solving(sym_file, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sinkhorn_solve ran on a NaN marginal")
+
+    monkeypatch.setattr("statechar.cli.sinkhorn_solve", never)
+    nu_path = tmp_path / "nu.json"
+    nu_path.write_text("[NaN, 1.0]")
+    assert main(["bridge", "--instance", sym_file, "--nu", str(nu_path)]) == 2
+
+
+@pytest.mark.parametrize("command,option,text", [
+    ("bridge", "--nu", '["x", 1.0]'),
+    ("bridge", "--nu", '{"nu": {"a": 1}}'),
+    ("diagnose", "--coupling", '{"x": 1}'),
+    ("diagnose", "--coupling", "[[0.25, NaN], [0.25, 0.25]]"),
+])
+def test_malformed_array_file_exit_2(sym_file, tmp_path, capsys, command, option, text):
+    path = tmp_path / "array.json"
+    path.write_text(text)
+    assert main([command, "--instance", sym_file, option, str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+# --- options and hook points -------------------------------------------------
+
+def _command_argv(tmp_path, sym_file, command):
+    nu_path = tmp_path / "nu.json"
+    nu_path.write_text(json.dumps([0.5, 0.5]))
+    return {
+        "solve": ["solve", "--instance", sym_file],
+        "bridge": ["bridge", "--instance", sym_file, "--nu", str(nu_path)],
+        "entry": ["entry", "--instance", sym_file, "--entrant", sym_file],
+        "oracle": ["oracle", "--instance", sym_file],
+        "diagnose": ["diagnose", "--instance", sym_file],
+    }[command]
+
+
+@pytest.mark.parametrize("command,option", [
+    ("solve", "--inner-tol"), ("entry", "--inner-tol"), ("oracle", "--inner-tol"),
+    ("diagnose", "--inner-tol"), ("bridge", "--outer-tol"), ("solve", "--seed"),
+    ("bridge", "--seed"), ("entry", "--seed"), ("diagnose", "--seed"),
+])
+def test_unread_option_rejected(sym_file, tmp_path, command, option):
+    argv = _command_argv(tmp_path, sym_file, command) + [option, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("solve", ["outer_tol", "max_iter"]),
+    ("bridge", ["inner_tol", "max_iter"]),
+    ("entry", ["outer_tol", "max_iter"]),
+    ("oracle", ["outer_tol", "max_iter", "seed"]),
+    ("diagnose", ["outer_tol", "max_iter"]),
+])
+def test_report_flags_echo_declared_options(sym_file, tmp_path, command, flags):
+    report_path = str(tmp_path / "r.json")
+    argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
+    assert main(argv) == 0
+    assert list(json.loads(open(report_path).read())["flags"]) == flags
+
+
+def test_hook_points_looked_up_at_call_time(sym_file, tmp_path, monkeypatch):
+    import statechar.cli
+    import statechar.io
+
+    calls = {}
+    hooks = [(statechar.cli, name) for name in (
+        "load_instance", "instance_hash", "dumps_canonical", "full_solve",
+        "run_diagnostics", "sinkhorn_solve", "schrodinger_residual")]
+    hooks.append((statechar.io, "validate_instance"))
+    for module, name in hooks:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    report_path = str(tmp_path / "r.json")
+    for command in ("solve", "bridge"):
+        argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
+        assert main(argv) == 0
+    assert sorted(calls) == sorted(name for _, name in hooks)
