@@ -5,7 +5,7 @@ hedonic characteristics and payoff states -- trading expected utility against
 an information cost with two components: mutual information between
 characteristic and state, and divergence of the characteristic marginal from
 an exogenous prior.  The package computes the unique optimum by solving an
-entropic-optimal-transport inner problem (log-domain Sinkhorn) inside a
+entropic-optimal-transport inner problem (stabilized Sinkhorn) inside a
 strictly concave outer problem over the simplex, and ships numerical checks
 for every structural property of the model.
 """

@@ -19,8 +19,13 @@ the plain Sinkhorn pair for the kernel exp(u/lambda):
     exp(b(t))  = sum_x nu(x) * exp(u/lambda - a~(x))
     exp(a~(x)) = sum_t mu(t) * exp(u/lambda - b(t))
 
-Both are iterated in the log domain with max-shifted sums.  Potentials are in
-rescaled (u/lambda) units; values are reported in utils.
+They are the two contractions of the instance's Gibbs kernel that the outer
+solve uses too (the outer condition g = 1 is the a-equation at a = 0, and
+log Z(nu) the b-equation): b = over_x(log nu - a~), a~ = over_t(log mu - b).
+A sweep is two matrix-vector products with the cached exp(u/lambda - column
+max), or two log-domain sums when the utility span is too wide for that; it
+builds no n x m array.  Potentials are in rescaled (u/lambda) units; values
+are reported in utils.
 """
 
 from __future__ import annotations
@@ -107,39 +112,35 @@ def sinkhorn_solve(inst: ProblemInstance, nu: Marginal,
                    max_iter: int = DEFAULT_MAX_ITER) -> BridgeSolution:
     """Solve for the optimal coupling with row marginal nu and column marginal mu.
 
-    Alternates the two log-domain fixed-point updates until the max-norm
-    marginal residual of the implied coupling falls below ``tol``.  The
-    returned potentials are gauge-fixed so that sum_x nu(x) a(x) = 0.
+    Alternates the two fixed-point updates until the max-norm marginal
+    residual of the implied coupling falls below ``tol``.  After an a~-update
+    the coupling of (a~, b) has row marginal nu, and its column t sums to
+    mu(t) exp(b'(t) - b(t)) for the next b-update b', so a sweep measures
+    that column defect without forming the coupling.  The returned
+    potentials are gauge-fixed so that sum_x nu(x) a(x) = 0;
+    ``marginal_residual`` is measured on the returned coupling.
 
     If ``max_iter`` sweeps do not reach ``tol`` the best iterate is returned
     with ``converged=False``.
     """
-    if tol <= 0:
-        raise ValidationError("sinkhorn_solve: tol must be > 0")
-    if max_iter < 1:
+    if not tol > 0:  # NaN fails too
+        raise ValidationError(f"sinkhorn_solve: tol must be > 0, got {tol!r}")
+    if not max_iter >= 1:
         raise ValidationError("sinkhorn_solve: max_iter must be >= 1")
     if len(nu) != inst.n:
         raise ValidationError(f"sinkhorn_solve: nu has length {len(nu)}, "
                               f"instance has n={inst.n}")
+    kernel = inst._kernel
     log_nu = np.log(nu.weights)
-    kern_b = inst.utility + log_nu[:, None]        # b update sums over x
-    kern_a = inst.utility + inst.log_mu[None, :]   # a~ update sums over t
 
-    a_scaled = np.zeros(inst.n)
-    b = np.zeros(inst.m)
+    b_next = kernel.over_x(log_nu)  # the b-update at a~ = 0
     history = []
-    converged = False
-    iterations = 0
     for iterations in range(1, int(max_iter) + 1):
-        b = logsumexp(kern_b - a_scaled[:, None], axis=0)
-        a_scaled = logsumexp(kern_a - b[None, :], axis=1)
-        joint = np.exp(log_nu[:, None] + inst.log_mu[None, :] + inst.utility
-                       - a_scaled[:, None] - b[None, :])
-        residual = max(float(np.max(np.abs(joint.sum(axis=1) - nu.weights))),
-                       float(np.max(np.abs(joint.sum(axis=0) - inst.mu))))
-        history.append(residual)
-        if residual <= tol:
-            converged = True
+        b = b_next
+        a_scaled = kernel.over_t(inst.log_mu - b)
+        b_next = kernel.over_x(log_nu - a_scaled)
+        history.append(float(np.max(inst.mu * np.abs(np.expm1(b_next - b)))))
+        if history[-1] <= tol:
             break
 
     # Gauge: translate so the nu-weighted mean of the unscaled potential is 0.
@@ -148,6 +149,8 @@ def sinkhorn_solve(inst: ProblemInstance, nu: Marginal,
     pot = Potentials(a_scaled=a_scaled - shift, b=b + shift, gauge=GAUGE_NU_MEAN_ZERO)
 
     coupling = Coupling(joint=_coupling_matrix(pot, nu, inst))
+    residual = max(float(np.max(np.abs(coupling.marginal_x - nu.weights))),
+                   float(np.max(np.abs(coupling.marginal_theta - inst.mu))))
     value = inst.lam * (float(np.dot(nu.weights, standard_a(pot, nu, inst)))
                         + float(np.dot(inst.mu, pot.b)))
     sol = BridgeSolution(
@@ -155,10 +158,10 @@ def sinkhorn_solve(inst: ProblemInstance, nu: Marginal,
         coupling=coupling,
         nu=nu,
         value=value,
-        marginal_residual=history[-1],
+        marginal_residual=residual,
         duality_gap=0.0,
         iterations=iterations,
-        converged=converged,
+        converged=residual <= tol,
         residual_history=tuple(history),
     )
     return replace(sol, duality_gap=duality_gap(sol, inst))
@@ -170,11 +173,9 @@ def schrodinger_residual(pot: Potentials, nu: Marginal, inst: ProblemInstance) -
     Zero (up to floating error) exactly when (a, b) are Schrodinger
     potentials; invariant under translating the pair by (+c, -c).
     """
-    log_nu = np.log(nu.weights)
-    res_a = pot.a_scaled - logsumexp(inst.utility + inst.log_mu[None, :]
-                                     - pot.b[None, :], axis=1)
-    res_b = pot.b - logsumexp(inst.utility + log_nu[:, None]
-                              - pot.a_scaled[:, None], axis=0)
+    kernel = inst._kernel
+    res_a = pot.a_scaled - kernel.over_t(inst.log_mu - pot.b)
+    res_b = pot.b - kernel.over_x(np.log(nu.weights) - pot.a_scaled)
     return max(float(np.max(np.abs(res_a))), float(np.max(np.abs(res_b))))
 
 
@@ -184,11 +185,12 @@ def dual_value(pot: Potentials, nu: Marginal, inst: ProblemInstance) -> float:
         sum_x a dnu + sum_t b dmu + sumsum exp(u/lambda - a - b) dphi^alpha dnu^(1-alpha) dmu - 1
 
     Upper-bounds the constrained value for any potentials; equals it at the
-    true ones.  The double sum is evaluated in the log domain.
+    true ones.  The double sum is the mu-weighted sum over states of
+    exp(over_x(log nu - a~) - b), evaluated in the log domain.
     """
     a = standard_a(pot, nu, inst)
-    log_mass = logsumexp(np.log(nu.weights)[:, None] + inst.log_mu[None, :]
-                         + inst.utility - pot.a_scaled[:, None] - pot.b[None, :])
+    log_mass = logsumexp(inst.log_mu - pot.b
+                         + inst._kernel.over_x(np.log(nu.weights) - pot.a_scaled))
     return (float(np.dot(nu.weights, a)) + float(np.dot(inst.mu, pot.b))
             + float(np.exp(log_mass)) - 1.0)
 
@@ -257,7 +259,7 @@ def envelope_derivative(nu: Marginal, x: int, inst: ProblemInstance,
     prediction lambda * (a(x) - sum_x a dnu) from the potentials at nu (the
     gauge makes the centering term vanish).  The two agree up to O(eps).
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ValidationError("envelope_derivative: eps must be > 0")
     sol = sinkhorn_solve(inst, nu, tol=tol, max_iter=max_iter)
     if not sol.converged:

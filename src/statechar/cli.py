@@ -33,7 +33,7 @@ from .diagnostics import (
     mnl_residual,
     run_diagnostics,
 )
-from .entry import entry_report, solve_entry_pair
+from .entry import _check_report_tolerances, entry_report, solve_entry_pair
 from .io import dumps_canonical, gen_instance, instance_hash, load_instance, read_json
 from .model import (
     ConvergenceError,
@@ -171,6 +171,7 @@ def _show_bridge(report, inst) -> None:
 
 
 def _entry(args, base, entrant):
+    _check_report_tolerances(args.constancy_tol, args.alpha_tol)  # before solving
     pair = solve_entry_pair(base, entrant, outer_tol=args.outer_tol,
                             max_iter=args.max_iter)
     rep = entry_report(pair, tol=args.constancy_tol, alpha_tol=args.alpha_tol)

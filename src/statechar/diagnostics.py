@@ -41,6 +41,10 @@ __all__ = [
 
 DEFAULT_EPS_GRID = (1e-2, 1e-3, 1e-4)
 
+# Roundoff of one computed expectation of the surprisal, per unit of its
+# magnitude plus one (run_diagnostics).
+FSO_ROUNDOFF = 4 * np.finfo(float).eps
+
 DEFAULT_THRESHOLDS = {
     "gibbs": 1e-6,
     "fso_final_slope": 1e-3,
@@ -177,31 +181,34 @@ class DiagnosticsReport:
         return all(self.pass_flags.values())
 
 
-def run_diagnostics(solution, inst: ProblemInstance,
-                    eps_grid=DEFAULT_EPS_GRID,
-                    probe: Coupling | None = None,
-                    thresholds: dict | None = None) -> DiagnosticsReport:
+def run_diagnostics(solution, inst: ProblemInstance) -> DiagnosticsReport:
     """Run every check against a full_solve Solution.
 
-    The perturbation probe defaults to the zero-information product coupling.
-    Thresholds are recorded in the report itself so a serialized report is
-    self-describing.
+    The perturbation probe is the zero-information product coupling and the
+    steps are DEFAULT_EPS_GRID.  Thresholds are recorded in the report itself
+    so a serialized report is self-describing.
     """
     thr = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
-    H = product_coupling(inst) if probe is None else probe
+    H = product_coupling(inst)
     P = solution.coupling
 
     gibbs = gibbs_check(P, inst)
-    slopes = tuple(fso_check(P, H, inst, eps_grid))
-    dd_err = directional_derivative_check(P, H, inst, min(eps_grid))
+    slopes = tuple(fso_check(P, H, inst, DEFAULT_EPS_GRID))
+    dd_err = directional_derivative_check(P, H, inst, min(DEFAULT_EPS_GRID))
     gap = jensen_gap(P, inst)
     bounds = density_bounds(solution.nu_star, inst)
     mnl = mnl_residual(P, inst)
 
-    ordered = sorted(slopes, key=lambda s: -s[0])
-    decay_ok = all(ordered[i][1] >= ordered[i + 1][1] - 1e-12
+    # A slope |E_eps - E_0| / eps differences two expectations that are each
+    # exact to FSO_ROUNDOFF * (1 + |E|): the ratios inside the surprisal's
+    # logs round to an ulp of 1.  E_0 = E_P[Y(.; P)] is U*/lambda, and
+    # |E_eps| <= |E_0| + eps * slope; two slopes are compared within the sum
+    # of their margins.  A fixed slack fails the pure-roundoff slopes of an
+    # exact optimum.
+    base = abs(solution.U_star / inst.lam)
+    ordered = sorted(slopes, reverse=True)
+    margin = [FSO_ROUNDOFF * (2.0 + 2.0 * base + e * s) / e for e, s in ordered]
+    decay_ok = all(ordered[i][1] >= ordered[i + 1][1] - margin[i] - margin[i + 1]
                    for i in range(len(ordered) - 1))
     flags = {
         "gibbs": bool(gibbs <= thr["gibbs"]),

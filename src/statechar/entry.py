@@ -128,6 +128,12 @@ class EntryReport:
     passed: bool
 
 
+def _check_report_tolerances(tol: float, alpha_tol: float) -> None:
+    for name, value in (("tol", tol), ("alpha_tol", alpha_tol)):
+        if not value > 0:  # NaN fails too
+            raise ValidationError(f"entry_report: {name} must be > 0, got {value!r}")
+
+
 def entry_report(pair: EntryPair, tol: float = 1e-6,
                  alpha_tol: float = 1e-4) -> EntryReport:
     """Run the restriction battery over every ordered characteristic pair.
@@ -135,6 +141,7 @@ def entry_report(pair: EntryPair, tol: float = 1e-6,
     Passes when every double ratio is constant within ``tol`` relative
     deviation and the informative alpha estimates agree within ``alpha_tol``.
     """
+    _check_report_tolerances(tol, alpha_tol)
     n = pair.base.n
     rows = []
     ratios = {}

@@ -81,8 +81,9 @@ class ProblemInstance:
 
     ``utility`` is stored rescaled (u / lambda); ``lam`` keeps the original
     scale for reporting.  Arrays are read-only; instances are safe to share
-    across threads.  Derived arrays (``log_phi``, ``log_mu`` and the logit
-    kernel's scaling) are computed on first use and cached read-only.
+    across threads.  Derived arrays (``log_phi``, ``log_mu`` and the Gibbs
+    kernel shared by the outer solve and the bridge) are computed on first
+    use and cached read-only.
     """
 
     characteristic_labels: tuple
@@ -110,16 +111,14 @@ class ProblemInstance:
         return _readonly(np.log(self.mu))
 
     @cached_property
-    def _logit_scaling(self):
-        """``(cmax, E)`` with cmax = column max of u/lambda and
-        E = exp(u/lambda - cmax), or None when some column's span exceeds
-        ``_scaled_span_bound(n)`` and the kernel must stay in the log domain.
-        Built on first use of the weighted-logit kernel, never by the bridge.
-        """
+    def _kernel(self) -> "_GibbsKernel":
+        """The Gibbs kernel exp(u/lambda): scaled when every column's u/lambda
+        span is within ``_scaled_span_bound(max(n, m))``, else log-domain."""
         cmax = self.utility.max(axis=0)
-        if float(np.max(cmax - self.utility.min(axis=0))) > _scaled_span_bound(self.n):
-            return None
-        return _readonly(cmax), _readonly(np.exp(self.utility - cmax))
+        span = float(np.max(cmax - self.utility.min(axis=0)))
+        if span > _scaled_span_bound(max(self.n, self.m)):
+            return _GibbsKernel(self.utility)
+        return _ScaledGibbsKernel(self.utility, cmax)
 
 
 @dataclass(frozen=True)
@@ -357,106 +356,82 @@ def surprisal_matrix(P: Coupling, inst: ProblemInstance, rows=None) -> Surprisal
     return SurprisalMatrix(values=values, defined=defined)
 
 
-# --- the weighted-logit kernel ---------------------------------------------
+# --- the Gibbs kernel -------------------------------------------------------
 #
-# Every closed-form quantity of the model is one weighted multinomial logit
-# with log weights  log w~ = alpha*log phi + (1-alpha)*log w  (exactly log phi
-# at alpha = 1, so nothing there depends on w):
+# Every sum over cells is one of two contractions of exp(u/lambda):
 #
-#     log Z(t) = logsumexp_x [log w~(x) + u(x,t)/lambda]
-#     P(x|t)   = exp(log w~(x) + u(x,t)/lambda - log Z(t))
-#     g(x)     = (phi(x)/w(x))^alpha * sum_t mu(t) exp(u(x,t)/lambda - log Z(t))
+#     over_x(l)(t) = log sum_x exp(l(x) + u(x,t)/lambda)
+#     over_t(l)(x) = log sum_t exp(l(t) + u(x,t)/lambda)
 #
-# With E = exp(u/lambda - cmax) cached per instance, log Z and g are one
-# matrix-vector product each (the scaling form of entropic OT).  Weights are
-# shifted by s = max log w~, so a weight and a column sum both lie in (0, 1]
-# and [e^-span, n].  A term that underflows carries at most 2^-1022 of mass
-# per cell against a column sum of at least e^-span, a relative error of at
-# most n * 2^-1022 * e^span; below the span bound that stays under one unit
-# of roundoff (2^-52).  Wider spans are evaluated in the log domain.
+# log Z = over_x(log w~) with log w~ = alpha*log phi + (1-alpha)*log w, the
+# multiplier g = (phi/w)^alpha exp(over_t(log mu - log Z)), and the bridge's
+# Sinkhorn pair b = over_x(log nu - a~), a~ = over_t(log mu - b).  With
+# E = exp(u/lambda - cmax) cached per instance each is one matrix-vector
+# product.  Weights are shifted so their largest is 1, and a sum then lies in
+# [e^-span, max(n, m)]: a term that underflows carries at most 2^-1022 of
+# mass, a relative error of at most max(n, m) * 2^-1022 * e^span, under one
+# unit of roundoff (2^-52) below the span bound.  Wider spans are evaluated
+# in the log domain (Schmitzer 2019, stabilized scaling).
 
-def _scaled_span_bound(n: int) -> float:
-    """Largest per-column u/lambda span the scaled kernel evaluates exactly:
-    n * 2^-1022 * e^span <= 2^-52, i.e. span <= (1022 - 52) ln 2 - ln n."""
-    return (1022 - 52) * math.log(2.0) - math.log(n)
+def _scaled_span_bound(size: int) -> float:
+    """Largest per-column u/lambda span the scaled kernel evaluates exactly,
+    for sums of up to ``size`` = max(n, m) terms:
+    size * 2^-1022 * e^span <= 2^-52, i.e. span <= (1022 - 52) ln 2 - ln size."""
+    return (1022 - 52) * math.log(2.0) - math.log(size)
 
 
-class _LogDomainLogit:
-    """The kernel at one weight vector, by max-shifted sums in the log domain.
+class _GibbsKernel:
+    """The two contractions by max-shifted sums in the log domain.
 
     Exact for any utility span; the reference the scaled form is tested
-    against.  ``log_z`` may be passed in when it is already known for these
-    weights (the outer loop reuses the accepted candidate's).
+    against.  ``l`` may hold -inf entries (zero weights), not all of them.
     """
 
-    def __init__(self, weights, inst: ProblemInstance, log_z=None):
-        self.inst = inst
-        with np.errstate(divide="ignore"):  # zero weights drop out of log Z
-            self.log_weights = np.log(np.asarray(weights, dtype=float))
-        if inst.alpha == 1.0:
-            self.log_w = inst.log_phi
-        else:
-            self.log_w = (inst.alpha * inst.log_phi
-                          + (1.0 - inst.alpha) * self.log_weights)
-        self.log_z = self._log_partition() if log_z is None else log_z
+    def __init__(self, utility: np.ndarray):
+        self.utility = utility
 
-    def _log_ratio(self) -> np.ndarray:
-        """alpha * log(phi / w), the log of the factor (phi/w)^alpha of g."""
-        return self.inst.alpha * (self.inst.log_phi - self.log_weights)
+    def over_x(self, l: np.ndarray) -> np.ndarray:
+        return logsumexp(l[:, None] + self.utility, axis=0)
 
-    def _log_partition(self) -> np.ndarray:
-        return logsumexp(self.log_w[:, None] + self.inst.utility, axis=0)
-
-    def ccp(self) -> np.ndarray:
-        return np.exp(self.log_w[:, None] + self.inst.utility - self.log_z[None, :])
-
-    def multiplier(self) -> np.ndarray:
-        inst = self.inst
-        log_terms = ((inst.log_mu - self.log_z)[None, :] + inst.utility
-                     + self._log_ratio()[:, None])
-        shift = log_terms.max(axis=1, keepdims=True)
-        return np.exp(shift[:, 0]) * np.exp(log_terms - shift).sum(axis=1)
+    def over_t(self, l: np.ndarray) -> np.ndarray:
+        return logsumexp(l[None, :] + self.utility, axis=1)
 
 
-class _ScaledLogit(_LogDomainLogit):
-    """The kernel as matrix-vector products with the cached E.
+class _ScaledGibbsKernel(_GibbsKernel):
+    """The two contractions as matrix-vector products with the cached E.
 
-    With s = max log w~, shifted weights w' = exp(log w~ - s) <= 1 and
-    column sums S = w' E (so log Z = cmax + s + log S):
+    ``over_x`` splits off the heaviest row k the way a max-shifted
+    log-sum-exp does, so a dominant row costs no roundoff:
 
-        log Z = log w~(k) + u(k,.)/lambda + log1p(sum_{x != k} w'(x) E(x,.) / E(k,.))
-        g     = exp(alpha*log(phi/w) - s + log E (mu / S)),  1/S = exp(cmax + s - log Z)
-
-    where k is the heaviest row (w'(k) = 1).  The first is log S split the
-    way a max-shifted log-sum-exp splits it, so a dominant row costs no
-    roundoff.  g is assembled in the log domain, so a tiny w cannot overflow
-    a factor while g itself is finite.  P(x|t) keeps the log-domain form
-    with the shared log Z: it is evaluated once per solve, not per iteration.
+        over_x(l) = l(k) + u(k,.)/lambda + log1p(sum_{x != k} e^(l(x) - l(k)) E(x,.) / E(k,.))
+        over_t(l) = s + log(E e^(l + cmax - s)),  s = max(l + cmax)
     """
 
-    def __init__(self, weights, inst: ProblemInstance, log_z=None):
-        self.cmax, self.kernel = inst._logit_scaling
-        super().__init__(weights, inst, log_z)
+    def __init__(self, utility: np.ndarray, cmax: np.ndarray):
+        super().__init__(utility)
+        self.cmax = _readonly(cmax)
+        self.kernel = _readonly(np.exp(utility - cmax))
 
-    def _log_partition(self) -> np.ndarray:
-        top = int(np.argmax(self.log_w))
-        rest = np.exp(self.log_w - self.log_w[top])
+    def over_x(self, l: np.ndarray) -> np.ndarray:
+        top = int(np.argmax(l))
+        rest = np.exp(l - l[top])
         rest[top] = 0.0
-        return (self.log_w[top] + self.inst.utility[top]
+        return (l[top] + self.utility[top]
                 + np.log1p((rest @ self.kernel) / self.kernel[top]))
 
-    def multiplier(self) -> np.ndarray:
-        shift = self.log_w.max()
-        inverse_sums = np.exp(self.cmax + shift - self.log_z)
-        mass = self.kernel @ (self.inst.mu * inverse_sums)
-        return np.exp(self._log_ratio() - shift + np.log(mass))
+    def over_t(self, l: np.ndarray) -> np.ndarray:
+        shifted = l + self.cmax
+        top = shifted.max()
+        return top + np.log(self.kernel @ np.exp(shifted - top))
 
 
-def _logit(weights, inst: ProblemInstance, log_z=None) -> _LogDomainLogit:
-    """The kernel evaluator for this instance's span: scaled when exact."""
-    if inst._logit_scaling is None:
-        return _LogDomainLogit(weights, inst, log_z)
-    return _ScaledLogit(weights, inst, log_z)
+def _log_weights(weights, inst: ProblemInstance) -> np.ndarray:
+    """log w~ = alpha*log phi + (1-alpha)*log w; exactly log phi at alpha = 1."""
+    if inst.alpha == 1.0:
+        return inst.log_phi
+    with np.errstate(divide="ignore"):  # zero weights drop out of log Z
+        log_w = np.log(np.asarray(weights, dtype=float))
+    return inst.alpha * inst.log_phi + (1.0 - inst.alpha) * log_w
 
 
 def log_partition(weights: np.ndarray, inst: ProblemInstance) -> np.ndarray:
@@ -466,12 +441,12 @@ def log_partition(weights: np.ndarray, inst: ProblemInstance) -> np.ndarray:
     Accepts weights with zero entries (their terms vanish for alpha < 1; for
     alpha = 1 the weights do not enter at all).
 
-    When every state's u/lambda span is at most (1022 - 52) ln 2 - ln n
-    (about 672 - ln n) this is one matrix-vector product with the instance's
-    cached exp(u/lambda - column max), exact to roundoff; wider spans use a
-    max-shifted log-sum-exp over all cells.
+    When every state's u/lambda span is at most (1022 - 52) ln 2 - ln max(n, m)
+    (about 672 - ln max(n, m)) this is one matrix-vector product with the
+    instance's cached exp(u/lambda - column max), exact to roundoff; wider
+    spans use a max-shifted log-sum-exp over all cells.
     """
-    return _logit(weights, inst).log_z
+    return inst._kernel.over_x(_log_weights(weights, inst))
 
 
 def partition_function(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
@@ -486,7 +461,9 @@ def mnl_ccp(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
     Columns sum to 1; all entries are strictly positive.  For alpha = 1 the
     result does not depend on nu (Maxwell-Boltzmann form).
     """
-    return _logit(nu.weights, inst).ccp()
+    log_w = _log_weights(nu.weights, inst)
+    log_z = inst._kernel.over_x(log_w)
+    return np.exp(log_w[:, None] + inst.utility - log_z[None, :])
 
 
 def coupling_from_marginal(nu: Marginal, inst: ProblemInstance):

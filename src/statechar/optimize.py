@@ -29,7 +29,6 @@ from .model import (
     Marginal,
     ProblemInstance,
     ValidationError,
-    _logit,
     coupling_from_marginal,
     log_partition,
     mnl_ccp,
@@ -72,9 +71,13 @@ def foc_multiplier(nu: Marginal, inst: ProblemInstance, *,
 
     Always satisfies sum_x nu(x) g(x) = 1 exactly (up to roundoff).
     ``log_z``, when given, must be ``log_partition(nu.weights, inst)``; it
-    saves recomputing the partition function.
+    saves recomputing the partition function.  g is assembled in the log
+    domain, so a tiny nu cannot overflow a factor while g itself is finite.
     """
-    return _logit(nu.weights, inst, log_z).multiplier()
+    if log_z is None:
+        log_z = log_partition(nu.weights, inst)
+    log_ratio = inst.alpha * (inst.log_phi - np.log(nu.weights))
+    return np.exp(log_ratio + inst._kernel.over_t(inst.log_mu - log_z))
 
 
 @dataclass(frozen=True)
@@ -104,28 +107,25 @@ def maxwell_boltzmann_ccp(inst: ProblemInstance) -> np.ndarray:
 def outer_solve(inst: ProblemInstance,
                 tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER,
-                damping: float = 1.0,
                 start: Marginal | None = None) -> OuterResult:
     """Maximize the Jensen envelope over strictly positive marginals.
 
-    Iterates nu <- normalize(nu * g^eta) from nu0 = phi (or ``start``).  A
-    step that decreases f is rejected and retried with eta halved, so f is
-    non-decreasing along the accepted sequence.  Stops when
+    Iterates nu <- normalize(nu * g^eta) from nu0 = phi (or ``start``) with
+    eta = 1.  A step that decreases f is rejected and retried with eta
+    halved, so f is non-decreasing along the accepted sequence.  Stops when
     max |g - 1| <= tol; on max_iter exhaustion the best iterate is returned
     flagged ``converged=False``.
 
-    Each iteration evaluates the weighted-logit kernel twice: log Z at the
+    Each iteration contracts the instance's Gibbs kernel twice: log Z at the
     candidate (which gives f) and g at the accepted iterate, reusing that
     candidate's log Z.  Below the span bound of ``log_partition`` both are
-    one matrix-vector product with the instance's cached exp(u/lambda -
-    column max); otherwise both run in the log domain.
+    one matrix-vector product with the cached exp(u/lambda - column max);
+    otherwise both run in the log domain.
 
     alpha = 1 is routed to the closed form (f is constant in nu there).
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError("outer_solve: damping must be in (0, 1]")
-    if tol <= 0:
-        raise ValidationError("outer_solve: tol must be > 0")
+    if not tol > 0:  # NaN fails too
+        raise ValidationError(f"outer_solve: tol must be > 0, got {tol!r}")
 
     if inst.alpha == 1.0:
         nu = _maxwell_boltzmann_marginal(inst)
@@ -146,7 +146,7 @@ def outer_solve(inst: ProblemInstance,
         if residual <= tol:
             converged = True
             break
-        eta = damping
+        eta = 1.0
         for _ in range(60):
             cand = w * g ** eta
             cand /= cand.sum()
@@ -182,7 +182,6 @@ def full_solve(inst: ProblemInstance,
                outer_tol: float = DEFAULT_TOL,
                inner_tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
-               damping: float = 1.0,
                verify_with_bridge: bool = False) -> Solution:
     """Solve the decision problem end to end.
 
@@ -196,7 +195,7 @@ def full_solve(inst: ProblemInstance,
     With ``verify_with_bridge`` a full Sinkhorn solve at nu* is attached to
     ``inner_diagnostics`` as an independent cross-check.
     """
-    outer = outer_solve(inst, tol=outer_tol, max_iter=max_iter, damping=damping)
+    outer = outer_solve(inst, tol=outer_tol, max_iter=max_iter)
     nu_star = outer.nu
     ccp = mnl_ccp(nu_star, inst)
     coupling, row_residual = coupling_from_marginal(nu_star, inst)
@@ -305,6 +304,9 @@ def brute_force_oracle(inst: ProblemInstance,
     joint and the joint is linear in them), so ascent finds the global
     optimum; multiple starts are retained as a safety net.
     """
+    if not iterations >= 1:
+        raise ValidationError(f"brute_force_oracle: iterations must be >= 1, "
+                              f"got {iterations!r}")
     if inst.n * inst.m > ORACLE_MAX_CELLS:
         raise ValidationError(f"brute_force_oracle: {inst.n * inst.m} cells "
                               f"exceed the desk-scale guard ({ORACLE_MAX_CELLS})")

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import statechar as sc
+from statechar import model
 
 
 @pytest.fixture
@@ -29,3 +32,10 @@ def random_coupling(rng, inst):
     q = rng.gamma(1.0, 1.0, size=(inst.n, inst.m)) + 1e-3
     q /= q.sum(axis=0, keepdims=True)
     return sc.Coupling(joint=q * inst.mu[None, :])
+
+
+def log_domain_twin(inst):
+    """An equal instance whose cached Gibbs kernel is the log-domain reference."""
+    twin = dataclasses.replace(inst)
+    object.__setattr__(twin, "_kernel", model._GibbsKernel(twin.utility))
+    return twin

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import statechar as sc
+from statechar import model
 from statechar.bridge import GAUGE_NU_MEAN_ZERO
-from statechar.io import generated_instance
+from statechar.io import gen_instance, generated_instance
 
-from conftest import random_simplex
+from conftest import log_domain_twin, random_simplex
 from oracles import objective_direct
 
 E = math.e
@@ -231,6 +232,46 @@ def test_steep_transport_bridge_certifies():
     assert sol.converged
     assert sol.coupling.joint.min() >= 0.0
     assert -1e-12 <= sol.duality_gap <= 1e-8
+
+
+@pytest.mark.parametrize("inst", [
+    generated_instance(12, 6, 9, alpha=0.35),
+    generated_instance(5, 40, 3, u_range=(0, 40), alpha=0.7),
+    steep_transport_instance(1, 8, 120, 30.0),
+], ids=["6x9", "40x3-span-40", "8x120-transport"])
+def test_sinkhorn_matches_log_domain_reference(inst):
+    # The matrix-vector sweep changes only roundoff: same sweep count, same
+    # potentials and value as the max-shifted log-domain sums.
+    rng = np.random.default_rng(inst.n)
+    nu = sc.Marginal(weights=random_simplex(rng, inst.n))
+    ref = log_domain_twin(inst)
+    sol = sc.sinkhorn_solve(inst, nu)
+    want = sc.sinkhorn_solve(ref, nu)
+    assert sol.converged and want.converged
+    assert sol.iterations == want.iterations
+    np.testing.assert_allclose(sol.potentials.a_scaled, want.potentials.a_scaled,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sol.potentials.b, want.potentials.b, rtol=0, atol=1e-12)
+    assert sol.value == pytest.approx(want.value, abs=1e-12)
+    assert sc.schrodinger_residual(sol.potentials, nu, inst) == \
+        pytest.approx(sc.schrodinger_residual(want.potentials, nu, ref), abs=1e-12)
+
+
+def test_span_800_bridge_takes_log_domain_and_certifies():
+    # Forbidden pairings at u = -800 put a u/lambda span of 800 in five
+    # columns: exp(u/lambda - column max) would underflow there, so the sweep
+    # runs on log-domain sums.  Rounding moves a deficit of about the
+    # residual onto those cells at a cost of 800 each, hence the tight tol.
+    raw = gen_instance(0, 30, 20)
+    u = np.array(raw["utility"])
+    u[np.arange(30) % 3 == 0, :5] = -800.0
+    inst = sc.validate_instance(dict(raw, utility=u.tolist()))
+    assert type(inst._kernel) is model._GibbsKernel
+    sol = sc.sinkhorn_solve(inst, sc.Marginal(weights=inst.phi), tol=1e-12)
+    assert sol.converged
+    assert sol.marginal_residual <= 1e-12
+    assert -1e-12 <= sol.duality_gap <= 1e-8
+    assert sc.schrodinger_residual(sol.potentials, sol.nu, inst) <= 1e-10
 
 
 def test_gauge_shift_leaves_everything_unchanged():

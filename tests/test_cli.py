@@ -310,6 +310,36 @@ def test_bridge_nan_nu_exit_2_before_solving(sym_file, tmp_path, monkeypatch):
     assert main(["bridge", "--instance", sym_file, "--nu", str(nu_path)]) == 2
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if any solve starts: every outer, bridge and entry solve
+    contracts the Gibbs kernel, and the oracle evaluates its objective."""
+    import statechar.model
+    import statechar.optimize
+
+    def never(*args, **kwargs):
+        raise AssertionError("a solve started on an invalid tuning value")
+
+    for kernel in (statechar.model._GibbsKernel, statechar.model._ScaledGibbsKernel):
+        monkeypatch.setattr(kernel, "over_x", never)
+        monkeypatch.setattr(kernel, "over_t", never)
+    monkeypatch.setattr(statechar.optimize, "_oracle_objective", never)
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("solve", "--outer-tol", "nan"),
+    ("bridge", "--inner-tol", "nan"),
+    ("entry", "--constancy-tol", "nan"),
+    ("entry", "--alpha-tol", "nan"),
+    ("oracle", "--iterations", "-3"),
+])
+def test_invalid_tuning_value_exit_2_before_solving(sym_file, tmp_path, capsys,
+                                                    no_solve, command, option, value):
+    argv = _command_argv(tmp_path, sym_file, command) + [option, value]
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,option,text", [
     ("bridge", "--nu", '["x", 1.0]'),
     ("bridge", "--nu", '{"nu": {"a": 1}}'),

@@ -207,6 +207,32 @@ def test_report_passes_on_solver_output(seeded):
     assert np.isfinite(report.directional_derivative_error)
 
 
+def test_fso_passes_within_ulps_of_an_exact_optimum():
+    # Zero utility, phi = (0.25, 0.75): the optimum is phi x mu exactly, and
+    # its fso slopes are roundoff / eps.  Moving each cell by up to 2 ulps
+    # gave slopes up to 2.2e-12, which a fixed 1e-12 decay slack failed.
+    import dataclasses
+    import itertools
+
+    inst = sc.make_instance(["a", "b"], ["lo", "hi"], [[0.0, 0.0], [0.0, 0.0]],
+                            [0.25, 0.75], [0.5, 0.5], alpha=0.5, lam=1.0)
+    sol = sc.full_solve(inst)
+    exact = np.outer(inst.phi, inst.mu)
+    np.testing.assert_array_equal(sol.coupling.joint, exact)
+    failed = []
+    for steps in itertools.product(range(-2, 3), repeat=exact.size):
+        joint = exact.ravel().copy()
+        for k, step in enumerate(steps):
+            for _ in range(abs(step)):
+                joint[k] = np.nextafter(joint[k], math.copysign(np.inf, step))
+        P = sc.Coupling(joint=joint.reshape(exact.shape))
+        moved = dataclasses.replace(sol, coupling=P,
+                                    nu_star=sc.Marginal(weights=P.marginal_x))
+        if not sc.run_diagnostics(moved, inst).pass_flags["fso"]:
+            failed.append(steps)
+    assert failed == []
+
+
 def test_report_flags_failures_on_probes(seeded):
     inst, _ = seeded
     # a fake "solution" built around the product coupling must fail checks

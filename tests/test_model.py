@@ -8,7 +8,7 @@ import statechar as sc
 from statechar import model
 from statechar.io import generated_instance
 
-from conftest import random_coupling, random_simplex
+from conftest import log_domain_twin, random_coupling, random_simplex
 from oracles import expect_surprisal, kappa_first_form, mi_direct
 
 E = math.e
@@ -335,25 +335,45 @@ def test_mnl_ccp_alpha_one_ignores_marginal():
 
 # --- scaled kernel against the log-domain reference --------------------------
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+# square-ish shapes, and tall and wide ones where one contraction sums far
+# more terms than the other
+SHAPES = st.one_of(st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                   st.tuples(st.integers(1, 4), st.integers(100, 400)),
+                   st.tuples(st.integers(100, 400), st.integers(1, 4)))
+
+
+@given(st.integers(0, 2**32 - 1), SHAPES,
        st.floats(1e-3, 1.0), st.floats(0.0, 200.0), st.floats(0.0, 300.0))
 @settings(max_examples=150, deadline=None)
-def test_scaled_kernel_matches_log_domain(seed, n, m, alpha, span, tiny):
+def test_scaled_kernel_matches_log_domain(seed, shape, alpha, span, tiny):
+    n, m = shape
     rng = np.random.default_rng(seed)
     inst = sc.make_instance(range(n), range(m),
                             span * rng.uniform(-0.5, 0.5, size=(n, m)),
                             random_simplex(rng, n), random_simplex(rng, m),
                             alpha, 1.0)
-    assert inst._logit_scaling is not None  # the matrix-vector path is taken
+    assert isinstance(inst._kernel, model._ScaledGibbsKernel)  # GEMV path taken
+    ref = log_domain_twin(inst)
+    assert type(ref._kernel) is model._GibbsKernel
+
+    # both contractions, on log weights spread over `tiny` decades
+    decades = tiny * math.log(10.0)
+    l_x = -decades * rng.uniform(size=n)
+    l_t = -decades * rng.uniform(size=m)
+    np.testing.assert_allclose(inst._kernel.over_x(l_x), ref._kernel.over_x(l_x),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inst._kernel.over_t(l_t), ref._kernel.over_t(l_t),
+                               rtol=0, atol=1e-12)
+
     # marginal entries spread log-uniformly down to 10^-tiny
     w = 10.0 ** -rng.uniform(0.0, tiny, size=n)
     nu = sc.Marginal(weights=w / w.sum())
-    ref = model._LogDomainLogit(nu.weights, inst)
-    np.testing.assert_allclose(sc.log_partition(nu.weights, inst), ref.log_z,
+    np.testing.assert_allclose(sc.log_partition(nu.weights, inst),
+                               sc.log_partition(nu.weights, ref), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sc.mnl_ccp(nu, inst), sc.mnl_ccp(nu, ref),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sc.mnl_ccp(nu, inst), ref.ccp(), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sc.foc_multiplier(nu, inst), ref.multiplier(),
-                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sc.foc_multiplier(nu, inst),
+                               sc.foc_multiplier(nu, ref), rtol=1e-12, atol=0)
 
 
 def test_wide_span_falls_back_to_log_domain():
@@ -364,7 +384,7 @@ def test_wide_span_falls_back_to_log_domain():
     alpha = 0.5
     inst = sc.make_instance(["a", "b"], ["t"], [[800.0], [0.0]],
                             [1e-300, 1.0 - 1e-300], [1.0], alpha, 1.0)
-    assert inst._logit_scaling is None
+    assert type(inst._kernel) is model._GibbsKernel
     top = alpha * math.log(inst.phi[0]) + (1 - alpha) * math.log(1e-300) + 800.0
     weights = np.array([1e-300,
                         math.exp((top - alpha * math.log(inst.phi[1])) / (1 - alpha))])
@@ -374,6 +394,22 @@ def test_wide_span_falls_back_to_log_domain():
     expected = terms.max() + math.log1p(math.exp(terms.min() - terms.max()))
     assert sc.log_partition(weights, inst)[0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(terms[0] + math.log(2.0), abs=1e-12)
+
+
+def test_span_rule_counts_the_longer_sum():
+    # over_t sums m terms, so the bound is taken at max(n, m): a span between
+    # the bounds for n = 2 and for m = 1000 must stay in the log domain.
+    n, m = 2, 1000
+    span = 0.5 * (model._scaled_span_bound(n) + model._scaled_span_bound(m))
+    utility = np.zeros((n, m))
+    utility[0, 0] = span
+    inst = sc.make_instance(range(n), range(m), utility, [0.5, 0.5],
+                            np.full(m, 1.0 / m), 0.5, 1.0)
+    assert type(inst._kernel) is model._GibbsKernel
+    utility[0, 0] = model._scaled_span_bound(m)
+    inst = sc.make_instance(range(n), range(m), utility, [0.5, 0.5],
+                            np.full(m, 1.0 / m), 0.5, 1.0)
+    assert isinstance(inst._kernel, model._ScaledGibbsKernel)
 
 
 @pytest.mark.parametrize("seed, size, alpha, iterations", [

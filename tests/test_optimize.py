@@ -124,11 +124,6 @@ def test_outer_monotone_envelope_along_iterations():
     assert res.f_value >= sc.jensen_envelope(sc.Marginal(weights=inst.phi), inst) - 1e-12
 
 
-def test_outer_rejects_bad_damping(sym2x2):
-    with pytest.raises(sc.ValidationError):
-        sc.outer_solve(sym2x2, damping=0.0)
-
-
 # --- full solve --------------------------------------------------------------
 
 def test_full_solve_flat_family(flat2x2):
