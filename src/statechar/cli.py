@@ -18,6 +18,8 @@ time, so that a tracer can swap timing wrappers in for them.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import sys
 import time
 
@@ -62,18 +64,15 @@ def _fmt(x) -> str:
 
 
 def _print_vector(name, labels, values) -> None:
-    print(f"{name}:")
-    for lab, v in zip(labels, values):
-        print(f"  {lab:>8}  {_fmt(v)}")
+    print("\n".join([f"{name}:"] + [f"  {lab:>8}  {_fmt(v)}"
+                                    for lab, v in zip(labels, values)]))
 
 
 def _print_matrix(name, row_labels, col_labels, rows) -> None:
-    print(f"{name}:")
-    head = " ".join(f"{c:>12}" for c in col_labels)
-    print(f"  {'':>8} {head}")
-    for lab, row in zip(row_labels, rows):
-        body = " ".join(f"{_fmt(v):>12}" for v in row)
-        print(f"  {lab:>8} {body}")
+    cells = " ".join(["%12.8g"] * len(col_labels))  # one template call per row
+    lines = [f"{name}:", f"  {'':>8} " + " ".join(f"{c:>12}" for c in col_labels)]
+    lines += [f"  {lab:>8} " + cells % tuple(row) for lab, row in zip(row_labels, rows)]
+    print("\n".join(lines))
 
 
 def _diagnostics_payload(d: DiagnosticsReport) -> dict:
@@ -309,12 +308,16 @@ def _cmd_gen(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out} (hash {instance_hash(payload)[:12]})")
+        # gen_instance returns INSTANCE_FIELDS in canonical order, so this is
+        # instance_hash(payload) without serializing the payload again.
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        print(f"wrote {args.out} (hash {digest[:12]})")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statechar",

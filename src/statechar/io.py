@@ -32,6 +32,8 @@ INSTANCE_FIELDS = ("characteristics", "states", "utility", "phi", "mu",
 
 
 def _canonical(obj, out: list) -> None:
+    if isinstance(obj, np.ndarray) and obj.ndim:  # a 0-d array raises below
+        obj = obj.tolist()
     if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -41,6 +43,9 @@ def _canonical(obj, out: list) -> None:
             out.append(": ")
             _canonical(v, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}:
+        # A flat row of Python floats is formatted by one C-level % call.
+        out.append(("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, v in enumerate(obj):

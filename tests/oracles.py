@@ -5,6 +5,7 @@ closed forms, deliberately avoiding the library code paths it is used to
 check.
 """
 
+import json
 import math
 
 import numpy as np
@@ -100,3 +101,60 @@ def f_grid_argmax(inst, resolution=1e-3):
     f = np.log(z) @ inst.mu
     best = int(np.argmax(f))
     return pts[best], float(f[best])
+
+
+def _canonical_reference(obj, out: list) -> None:
+    """One recursive call per value: the per-element canonical JSON writer."""
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(k)))
+            out.append(": ")
+            _canonical_reference(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _canonical_reference(v, out)
+        out.append("]")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(f"{float(obj):.17g}")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps_canonical_reference(obj) -> str:
+    """The text statechar.io.dumps_canonical must produce, byte for byte."""
+    out: list = []
+    _canonical_reference(obj, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def print_vector_reference(name, labels, values) -> None:
+    """The CLI's labelled vector table, one print and one format per cell."""
+    print(f"{name}:")
+    for lab, v in zip(labels, values):
+        print(f"  {lab:>8}  {v:.8g}")
+
+
+def print_matrix_reference(name, row_labels, col_labels, rows) -> None:
+    """The CLI's labelled matrix table, one format per cell."""
+    print(f"{name}:")
+    head = " ".join(f"{c:>12}" for c in col_labels)
+    print(f"  {'':>8} {head}")
+    for lab, row in zip(row_labels, rows):
+        body = " ".join(f"{f'{v:.8g}':>12}" for v in row)
+        print(f"  {lab:>8} {body}")

@@ -1,14 +1,24 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import statechar as sc
+import statechar.cli
 from statechar.cli import main
 from statechar.io import dumps_canonical, gen_instance, instance_hash
 
+from oracles import (dumps_canonical_reference, print_matrix_reference,
+                     print_vector_reference)
+
 E = math.e
+
+# SHA-256 of `statechar gen --seed 3 --n 5 --m 4` output.
+GOLDEN_GEN_SHA256 = "673c4beb505a1a3ef81dbad0430027290c3c1c903644d53141e3dad11972e954"
 
 SYM2X2 = {
     "characteristics": ["a", "b"],
@@ -274,12 +284,20 @@ def test_gen_seed_changes_content(tmp_path):
     assert open(p1).read() != open(p2).read()
 
 
-def test_gen_output_validates(tmp_path):
+def test_gen_output_validates(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     main(["gen", "--seed", "5", "--n", "4", "--m", "3", "--out", path])
     inst, raw = sc.load_instance(path)
     assert inst.n == 4 and inst.m == 3
-    assert instance_hash(raw)
+    assert f"(hash {instance_hash(raw)[:12]})" in capsys.readouterr().out
+
+
+def test_gen_golden_bytes(tmp_path):
+    # Pins the file bytes themselves, so a serializer change that alters every
+    # run the same way still fails.  The CI console-script job checks the same.
+    path = tmp_path / "g.json"
+    main(["gen", "--seed", "3", "--n", "5", "--m", "4", "--out", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256
 
 
 def test_gen_then_solve(tmp_path):
@@ -413,3 +431,62 @@ def test_hook_points_looked_up_at_call_time(sym_file, tmp_path, monkeypatch):
         argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
         assert main(argv) == 0
     assert sorted(calls) == sorted(name for _, name in hooks)
+
+
+# --- canonical JSON and stdout tables -----------------------------------------
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                -5e-324, 2.2250738585072014e-308, 1e308, 1e16, 0.1])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+_LEAVES = (_FLOATS | st.integers(-2**80, 2**80) | st.booleans() | st.none()
+           | st.text() | _FLOATS.map(np.float64)
+           | st.floats(width=32).map(np.float32)
+           | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.booleans().map(np.bool_) | _ARRAYS
+           | st.lists(_FLOATS) | st.lists(_FLOATS).map(tuple))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_dumps_canonical_matches_per_element_reference(obj):
+    assert dumps_canonical(obj) == dumps_canonical_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, 1 + 2j, [0.5, 1j], {"a": [0.5, {0.5}]}, np.array([1 + 2j]),
+    np.array(0.5),  # 0-d: not iterable, as in the reference
+])
+def test_dumps_canonical_rejects_unsupported(obj):
+    with pytest.raises(TypeError):
+        dumps_canonical_reference(obj)
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("command", ["solve", "bridge"])
+def test_stdout_tables_match_per_cell_reference(tmp_path, capsys, monkeypatch, command):
+    payload = gen_instance(7, 40, 30)
+    path = write_instance(tmp_path, payload)
+    nu_path = tmp_path / "nu.json"
+    nu_path.write_text(dumps_canonical(payload["phi"]))
+    argv = {"solve": ["solve", "--instance", path],
+            "bridge": ["bridge", "--instance", path, "--nu", str(nu_path)]}[command]
+
+    def stdout():
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines(keepends=True)
+                if not line.startswith("elapsed:")]
+
+    got = stdout()
+    monkeypatch.setattr(statechar.cli, "_print_vector", print_vector_reference)
+    monkeypatch.setattr(statechar.cli, "_print_matrix", print_matrix_reference)
+    assert got == stdout()
+    assert len(got) > 40
