@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     ConvergenceError,
@@ -41,6 +40,7 @@ from .model import (
     Marginal,
     ProblemInstance,
     ValidationError,
+    _logsumexp,
     objective_value,
 )
 
@@ -189,8 +189,8 @@ def dual_value(pot: Potentials, nu: Marginal, inst: ProblemInstance) -> float:
     exp(over_x(log nu - a~) - b), evaluated in the log domain.
     """
     a = standard_a(pot, nu, inst)
-    log_mass = logsumexp(inst.log_mu - pot.b
-                         + inst._kernel.over_x(np.log(nu.weights) - pot.a_scaled))
+    log_mass = _logsumexp(inst.log_mu - pot.b
+                          + inst._kernel.over_x(np.log(nu.weights) - pot.a_scaled))
     return (float(np.dot(nu.weights, a)) + float(np.dot(inst.mu, pot.b))
             + float(np.exp(log_mass)) - 1.0)
 

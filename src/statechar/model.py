@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "ValidationError",
@@ -380,6 +379,17 @@ def _scaled_span_bound(size: int) -> float:
     return (1022 - 52) * math.log(2.0) - math.log(size)
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log sum exp(a) along ``axis`` (over all entries when None).
+
+    Shifted by the largest entry, so no term overflows and the largest is
+    exactly 1.  ``a`` may hold -inf entries (zero terms), not all of one sum.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    total = np.sum(np.exp(a - top), axis=axis)
+    return np.log(total) + np.squeeze(top, axis=axis)
+
+
 class _GibbsKernel:
     """The two contractions by max-shifted sums in the log domain.
 
@@ -391,10 +401,10 @@ class _GibbsKernel:
         self.utility = utility
 
     def over_x(self, l: np.ndarray) -> np.ndarray:
-        return logsumexp(l[:, None] + self.utility, axis=0)
+        return _logsumexp(l[:, None] + self.utility, axis=0)
 
     def over_t(self, l: np.ndarray) -> np.ndarray:
-        return logsumexp(l[None, :] + self.utility, axis=1)
+        return _logsumexp(l[None, :] + self.utility, axis=1)
 
 
 class _ScaledGibbsKernel(_GibbsKernel):

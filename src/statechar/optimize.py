@@ -6,11 +6,18 @@ Its interior first-order condition is g(x; nu) = 1 for the multiplier
 
     g(x; nu) = sum_t mu(t) * phi(x)^alpha * nu(x)^(-alpha) * exp(u/lambda) / Z(t; nu)
 
-which satisfies sum_x nu(x) g(x; nu) = 1 identically, so the damped
-multiplicative update nu <- normalize(nu * g^eta) is a fixed-point iteration
-of Blahut-Arimoto type that preserves strict positivity.  At the optimum the
-coupling assembles in closed form: a = 0 and b(t) = log Z(t; nu*) are valid
-dual potentials, giving P = mu(t) * mnl_ccp(nu*).
+which satisfies sum_x nu(x) g(x; nu) = 1 identically, so the multiplicative
+update nu <- normalize(nu * g^eta) is a fixed-point iteration of
+Blahut-Arimoto type that preserves strict positivity.  The gradient of f / lambda
+is (1 - alpha) * g, so by concavity the Frank-Wolfe gap
+
+    (1 - alpha) * max(0, max_x g(x; nu) - 1)
+
+bounds f(nu*) - f(nu) in rescaled units (Jaggi, ICML 2013).  The outer loop
+over-relaxes the step (eta up to 1/alpha; Matz and Duhamel, ITW 2004), keeps
+a long step only while that gap shrinks, and stops once the gap is within
+tolerance.  At the optimum the coupling assembles in closed form: a = 0 and
+b(t) = log Z(t; nu*) are valid dual potentials, giving P = mu(t) * mnl_ccp(nu*).
 
 For alpha = 1 the envelope does not depend on nu and the problem separates
 state by state; the Maxwell-Boltzmann conditional phi * exp(u/lambda) / Z is
@@ -65,28 +72,39 @@ def jensen_envelope(nu: Marginal, inst: ProblemInstance) -> float:
     return inst.lam * _f_norm(nu.weights, inst)
 
 
-def foc_multiplier(nu: Marginal, inst: ProblemInstance, *,
+def foc_multiplier(nu: Marginal | np.ndarray, inst: ProblemInstance, *,
                    log_z: np.ndarray | None = None) -> np.ndarray:
     """First-order multiplier g(.; nu); g = 1 at the optimal marginal.
 
-    Always satisfies sum_x nu(x) g(x) = 1 exactly (up to roundoff).
-    ``log_z``, when given, must be ``log_partition(nu.weights, inst)``; it
-    saves recomputing the partition function.  g is assembled in the log
-    domain, so a tiny nu cannot overflow a factor while g itself is finite.
+    ``nu`` is a Marginal or its weights (strictly positive, summing to 1; a
+    raw array is not validated again).  Always satisfies
+    sum_x nu(x) g(x) = 1 exactly (up to roundoff).  ``log_z``, when given,
+    must be ``log_partition(weights, inst)``; it saves recomputing the
+    partition function.  g is assembled in the log domain, so a tiny nu cannot
+    overflow a factor while g itself is finite.
     """
+    weights = np.asarray(nu, dtype=float)
     if log_z is None:
-        log_z = log_partition(nu.weights, inst)
-    log_ratio = inst.alpha * (inst.log_phi - np.log(nu.weights))
+        log_z = log_partition(weights, inst)
+    log_ratio = inst.alpha * (inst.log_phi - np.log(weights))
     return np.exp(log_ratio + inst._kernel.over_t(inst.log_mu - log_z))
+
+
+def _fw_gap(g: np.ndarray, inst: ProblemInstance) -> float:
+    """Frank-Wolfe gap (1 - alpha) * max(0, max g - 1): a certified bound on
+    f(nu*) - f(nu) in rescaled units, since grad f / lambda = (1 - alpha) g
+    and <nu, g> = 1."""
+    return (1.0 - inst.alpha) * max(0.0, float(g.max()) - 1.0)
 
 
 @dataclass(frozen=True)
 class OuterResult:
     nu: Marginal
     foc_residual: float     # max |g - 1|
+    fw_gap: float           # (1 - alpha) * max(0, max g - 1), rescaled units
     f_value: float          # utils
     iterations: int
-    converged: bool
+    converged: bool         # fw_gap <= tol
 
 
 def _maxwell_boltzmann_marginal(inst: ProblemInstance) -> Marginal:
@@ -104,23 +122,46 @@ def maxwell_boltzmann_ccp(inst: ProblemInstance) -> np.ndarray:
     return mnl_ccp(Marginal(weights=inst.phi), inst)
 
 
+def _step(w: np.ndarray, g: np.ndarray, eta: float, inst: ProblemInstance):
+    """The candidate normalize(w * g^eta), its log Z and f / lambda.
+
+    Formed in the log domain, so g^eta cannot overflow at eta = 1/alpha.
+    A weight that underflows to 0 leaves the candidate on the boundary,
+    where f has no gradient; it is returned and the caller rejects it.
+    """
+    log_c = np.log(w) + eta * np.log(g)
+    cand = np.exp(log_c - log_c.max())
+    cand /= cand.sum()
+    log_z = log_partition(cand, inst)
+    return cand, log_z, float(np.dot(inst.mu, log_z))
+
+
 def outer_solve(inst: ProblemInstance,
                 tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER,
                 start: Marginal | None = None) -> OuterResult:
     """Maximize the Jensen envelope over strictly positive marginals.
 
-    Iterates nu <- normalize(nu * g^eta) from nu0 = phi (or ``start``) with
-    eta = 1.  A step that decreases f is rejected and retried with eta
-    halved, so f is non-decreasing along the accepted sequence.  Stops when
-    max |g - 1| <= tol; on max_iter exhaustion the best iterate is returned
-    flagged ``converged=False``.
+    Iterates nu <- normalize(nu * g^eta) from nu0 = phi (or ``start``).  Each
+    iteration first tries the long step eta = min(2 * eta_prev, 1/alpha),
+    with eta_prev = 1 at the start, and keeps it only if f does not drop
+    (beyond 1e-15 relative roundoff) and the Frank-Wolfe gap
+    (1 - alpha) * max(0, max g - 1) at the candidate is smaller than at the
+    current iterate; eta_prev becomes that eta.  Otherwise it takes the
+    plain step eta = 1, halved until f does not drop, and sets
+    eta_prev = max(1, eta_prev / 4).  So f is non-decreasing along the
+    iterates.  The loop stops when the gap is at most ``tol``: that gap
+    certifies f(nu*) - f(nu) <= lambda * tol, and ``converged`` means
+    exactly that.  On max_iter exhaustion the last iterate is returned with
+    ``converged=False``.  ``foc_residual`` is max |g - 1| at the returned
+    nu; near a tiny alpha it can exceed ``tol`` where nu has little mass
+    (there g < 1 and the gap does not see it).
 
-    Each iteration contracts the instance's Gibbs kernel twice: log Z at the
-    candidate (which gives f) and g at the accepted iterate, reusing that
-    candidate's log Z.  Below the span bound of ``log_partition`` both are
-    one matrix-vector product with the cached exp(u/lambda - column max);
-    otherwise both run in the log domain.
+    An accepted long step costs two contractions of the instance's Gibbs
+    kernel (log Z, then g at the candidate, which the next iteration reuses);
+    a rejected one costs two more.  Below the span bound of
+    ``log_partition`` each contraction is one matrix-vector product with the
+    cached exp(u/lambda - column max); otherwise it runs in the log domain.
 
     alpha = 1 is routed to the closed form (f is constant in nu there).
     """
@@ -130,35 +171,48 @@ def outer_solve(inst: ProblemInstance,
     if inst.alpha == 1.0:
         nu = _maxwell_boltzmann_marginal(inst)
         res = float(np.max(np.abs(foc_multiplier(nu, inst) - 1.0)))
-        return OuterResult(nu=nu, foc_residual=res,
+        return OuterResult(nu=nu, foc_residual=res, fw_gap=0.0,
                            f_value=inst.lam * _f_norm(nu.weights, inst),
                            iterations=0, converged=True)
+
+    def kept(cand, f_cand):  # the monotone safeguard, on an interior candidate
+        return cand.min() > 0.0 and f_cand >= f_cur - 1e-15 * (1.0 + abs(f_cur))
 
     w = inst.phi.copy() if start is None else start.weights.copy()
     log_z = log_partition(w, inst)
     f_cur = float(np.dot(inst.mu, log_z))
-    residual = np.inf
+    g = foc_multiplier(w, inst, log_z=log_z)
+    gap = _fw_gap(g, inst)
+    eta_max = 1.0 / inst.alpha
+    eta_prev = 1.0
     iterations = 0
-    converged = False
     for iterations in range(1, int(max_iter) + 1):
-        g = foc_multiplier(Marginal(weights=w), inst, log_z=log_z)
-        residual = float(np.max(np.abs(g - 1.0)))
-        if residual <= tol:
-            converged = True
+        if gap <= tol:
             break
+        eta = min(2.0 * eta_prev, eta_max)
+        cand, cand_log_z, f_cand = _step(w, g, eta, inst)
+        if kept(cand, f_cand):
+            cand_g = foc_multiplier(cand, inst, log_z=cand_log_z)
+            cand_gap = _fw_gap(cand_g, inst)
+            if cand_gap < gap:
+                w, f_cur, g, gap, eta_prev = cand, f_cand, cand_g, cand_gap, eta
+                continue
         eta = 1.0
         for _ in range(60):
-            cand = w * g ** eta
-            cand /= cand.sum()
-            cand_log_z = log_partition(cand, inst)
-            f_cand = float(np.dot(inst.mu, cand_log_z))
-            if f_cand >= f_cur - 1e-15 * (1.0 + abs(f_cur)):
+            cand, cand_log_z, f_cand = _step(w, g, eta, inst)
+            if kept(cand, f_cand):
                 break
-            eta *= 0.5  # monotone safeguard: reject f-decreasing steps
-        w, log_z, f_cur = cand, cand_log_z, f_cand
-    return OuterResult(nu=Marginal(weights=w), foc_residual=residual,
-                       f_value=inst.lam * f_cur,
-                       iterations=iterations, converged=converged)
+            eta *= 0.5
+        else:
+            break  # even the shortest step drops f or a weight: stop here
+        w, f_cur = cand, f_cand
+        g = foc_multiplier(w, inst, log_z=cand_log_z)
+        gap = _fw_gap(g, inst)
+        eta_prev = max(1.0, 0.25 * eta_prev)
+    return OuterResult(nu=Marginal(weights=w),
+                       foc_residual=float(np.max(np.abs(g - 1.0))),
+                       fw_gap=gap, f_value=inst.lam * f_cur,
+                       iterations=iterations, converged=gap <= tol)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,16 @@ def expect_surprisal(weights, at, inst) -> float:
     return total
 
 
+def logsumexp_fsum(values) -> float:
+    """log sum exp(values), the sum exactly rounded by math.fsum.
+
+    -inf entries are zero terms; at least one entry must be finite.
+    """
+    values = [float(v) for v in values]
+    top = max(values)
+    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+
+
 def simplex_grid(n: int, resolution: float):
     """All points of the n-simplex on a uniform grid of the given step."""
     k = round(1.0 / resolution)

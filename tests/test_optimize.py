@@ -116,6 +116,65 @@ def test_outer_unique_from_random_starts():
         assert np.max(sols.max(axis=0) - sols.min(axis=0)) <= 1e-9
 
 
+def test_outer_small_alpha_converges_quickly():
+    # Plain steps (eta = 1) need about 21,700 iterations here; their count
+    # grows like 1/alpha.
+    inst = generated_instance(7, 50, 50, alpha=0.001)
+    res = sc.outer_solve(inst)
+    assert res.converged
+    assert res.iterations <= 2000
+
+
+# At (3, 60, 20, 0.003, 20) the loop certifies a gap within tol with nu
+# entries at 5e-324, and assembling the coupling then divides by an
+# underflowed row sum.
+UNDERFLOW = pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                              reason="nu entries underflow; assembly divides by 0")
+SWEEP = [pytest.param(seed, n, m, alpha, u_hi,
+                      marks=UNDERFLOW if (seed, alpha, u_hi) == (3, 0.003, 20.0) else ())
+         for seed, (n, m) in enumerate([(3, 2), (10, 7), (30, 30), (60, 20), (5, 80)])
+         for alpha in (0.003, 0.03, 0.25, 0.9)
+         for u_hi in (2.0, 20.0)]
+
+
+@pytest.mark.parametrize("seed, n, m, alpha, u_hi", SWEEP)
+def test_outer_certified_bound_and_converged_flag(seed, n, m, alpha, u_hi):
+    # (f - U)/lambda + (1 - alpha) max(0, max g - 1) bounds max U - U(P) by
+    # concavity; it is evaluated with the public functions only.
+    inst = generated_instance(seed, n, m, u_range=(0.0, u_hi), alpha=alpha, lam=0.7)
+    tol = 1e-10
+    res = sc.outer_solve(inst, tol=tol)
+    assert res.converged
+    assert res.fw_gap <= tol
+    sol = sc.full_solve(inst, outer_tol=tol)
+    f = sc.jensen_envelope(sol.nu_star, inst)
+    u = sc.objective_value(sol.coupling, inst)
+    g = sc.foc_multiplier(sol.nu_star, inst)
+    bound = (f - u) / inst.lam + (1.0 - alpha) * max(0.0, float(g.max()) - 1.0)
+    assert bound <= 10.0 * tol
+
+
+def test_outer_converged_means_gap_within_tol():
+    inst = generated_instance(4, 20, 15, alpha=0.05)
+    for tol in (1e-4, 1e-8, 1e-12):
+        for max_iter in (1, 3, 10, 100):
+            res = sc.outer_solve(inst, tol=tol, max_iter=max_iter)
+            assert res.converged == (res.fw_gap <= tol)
+            g = sc.foc_multiplier(res.nu, inst)
+            assert res.fw_gap == pytest.approx(
+                (1.0 - inst.alpha) * max(0.0, float(g.max()) - 1.0), rel=1e-9, abs=1e-15)
+
+
+def test_outer_envelope_nondecreasing_in_max_iter():
+    for seed, alpha in ((2, 0.02), (6, 0.3)):
+        inst = generated_instance(seed, 25, 12, u_range=(0.0, 6.0), alpha=alpha)
+        values = [sc.outer_solve(inst, tol=1e-14, max_iter=k).f_value
+                  for k in range(1, 31)]
+        for prev, cur in zip(values, values[1:]):
+            # the monotone safeguard admits 1e-15 relative roundoff per step
+            assert cur >= prev - 1e-15 * inst.lam * (1.0 + abs(prev))
+
+
 def test_outer_monotone_envelope_along_iterations():
     # safeguard guarantees f never decreases between accepted iterates
     inst = generated_instance(15, 4, 4, alpha=0.3)
