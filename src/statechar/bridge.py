@@ -195,6 +195,13 @@ def dual_value(pot: Potentials, nu: Marginal, inst: ProblemInstance) -> float:
             + float(np.exp(log_mass)) - 1.0)
 
 
+def _ratio(target: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """target / current, and +inf where current is 0 (an empty row or column,
+    e.g. one whose every cell underflowed), without a divide warning."""
+    return np.divide(target, current, out=np.full_like(target, np.inf),
+                     where=current > 0.0)
+
+
 def _round_to_marginals(joint: np.ndarray, row: np.ndarray,
                         col: np.ndarray) -> np.ndarray:
     """Smallest adjustment of a nonnegative matrix onto exact marginals.
@@ -206,8 +213,8 @@ def _round_to_marginals(joint: np.ndarray, row: np.ndarray,
     Alg. 2); the roundoff that leaves one slightly negative is clipped, or
     the patch could push a cell below zero.
     """
-    x = joint * np.minimum(1.0, row / joint.sum(axis=1))[:, None]
-    x = x * np.minimum(1.0, col / x.sum(axis=0))[None, :]
+    x = joint * np.minimum(1.0, _ratio(row, joint.sum(axis=1)))[:, None]
+    x = x * np.minimum(1.0, _ratio(col, x.sum(axis=0)))[None, :]
     def_row = np.maximum(row - x.sum(axis=1), 0.0)
     def_col = np.maximum(col - x.sum(axis=0), 0.0)
     deficit = def_row.sum()

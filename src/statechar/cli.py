@@ -71,7 +71,8 @@ def _print_vector(name, labels, values) -> None:
 def _print_matrix(name, row_labels, col_labels, rows) -> None:
     cells = " ".join(["%12.8g"] * len(col_labels))  # one template call per row
     lines = [f"{name}:", f"  {'':>8} " + " ".join(f"{c:>12}" for c in col_labels)]
-    lines += [f"  {lab:>8} " + cells % tuple(row) for lab, row in zip(row_labels, rows)]
+    lines += [f"  {lab:>8} " + cells % tuple(row.tolist())
+              for lab, row in zip(row_labels, rows)]
     print("\n".join(lines))
 
 
@@ -95,8 +96,8 @@ def _solution_payload(inst, sol) -> dict:
     return {
         "converged": sol.converged,
         "nu_star": sol.nu_star.weights.tolist(),
-        "ccp": sol.ccp.tolist(),
-        "coupling": sol.coupling.joint.tolist(),
+        "ccp": sol.ccp,
+        "coupling": sol.coupling.joint,
         "U_star": sol.U_star,
         "f_star": sol.f_star,
         "expected_utility": sol.U_star + vertical + mutual,
@@ -155,7 +156,7 @@ def _bridge(args, inst):
             "a": standard_a(sol.potentials, nu, inst).tolist(),
             "a_scaled": sol.potentials.a_scaled.tolist(),
             "b": sol.potentials.b.tolist(),
-            "coupling": sol.coupling.joint.tolist(),
+            "coupling": sol.coupling.joint,
         },
     }, sol.converged)
 
@@ -278,13 +279,19 @@ _COMMANDS = {
 }
 
 
+def _load_hashed(path):
+    """(instance, instance_hash); the raw payload is dropped on return."""
+    inst, raw = load_instance(path)
+    return inst, instance_hash(raw)
+
+
 def _run(args) -> int:
     _, files, _, tuning, body, show = _COMMANDS[args.command]
     t0 = time.perf_counter()
-    loaded = [load_instance(getattr(args, name)) for name in files]
+    loaded = [_load_hashed(getattr(args, name)) for name in files]
     report = {"command": args.command, "version": __version__}
-    for name, (_, raw) in zip(files, loaded):
-        report[f"{name}_hash"] = instance_hash(raw)
+    for name, (_, digest) in zip(files, loaded):
+        report[f"{name}_hash"] = digest
     report["flags"] = {key: getattr(args, key) for key in tuning}
     insts = [inst for inst, _ in loaded]
     payload, ok = body(args, *insts)
@@ -294,7 +301,7 @@ def _run(args) -> int:
         report["timings"] = {"seconds": elapsed}
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(report))
+            dumps_canonical(report, fh)
     show(report, *insts)
     print(f"elapsed: {elapsed:.3f} s")
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE

@@ -293,9 +293,18 @@ def kl_divergence(p, q) -> float:
 def mutual_information(P: Coupling) -> float:
     """Shannon information between characteristic and state, in nats."""
     joint = P.joint
-    outer = np.outer(P.marginal_x, P.marginal_theta)
+    nu, mu = P.marginal_x, P.marginal_theta
+    outer = np.outer(nu, mu)
     mask = joint > 0
-    return float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
+    under = mask & (outer == 0.0)
+    mask &= ~under
+    total = np.sum(joint[mask] * np.log(joint[mask] / outer[mask]))
+    if under.any():
+        # nu(x) mu(t) underflowed to 0 under a cell with mass: sum the logs
+        # of the factors there instead of dividing by 0.
+        r, c = np.nonzero(under)
+        total += np.sum(joint[r, c] * (np.log(joint[r, c]) - np.log(nu[r]) - np.log(mu[c])))
+    return float(total)
 
 
 def _check_feasible(P: Coupling, inst: ProblemInstance) -> None:
@@ -342,14 +351,16 @@ def surprisal_matrix(P: Coupling, inst: ProblemInstance, rows=None) -> Surprisal
         rows = np.atleast_1d(rows)
         if np.any(nu[rows] == 0.0):
             raise ValidationError("surprisal requested on a zero-mass row")
+    # Dense and in place, in the order of the formula; undefined cells are
+    # evaluated too (to +-inf or NaN, warnings off) and then set to NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
         ccp = P.joint / P.marginal_theta[None, :]
-    defined = (ccp > 0) & (nu[:, None] > 0)
-    values = np.full((inst.n, inst.m), np.nan)
-    r, c = np.nonzero(defined)
-    values[r, c] = (inst.utility[r, c]
-                    - inst.alpha * np.log(nu[r] / inst.phi[r])
-                    - np.log(ccp[r, c] / nu[r]))
+        defined = (ccp > 0) & (nu[:, None] > 0)
+        ccp /= nu[:, None]
+        np.log(ccp, out=ccp)
+        values = inst.utility - (inst.alpha * np.log(nu / inst.phi))[:, None]
+        values -= ccp
+    values[~defined] = np.nan
     values.setflags(write=False)
     defined.setflags(write=False)
     return SurprisalMatrix(values=values, defined=defined)

@@ -76,6 +76,22 @@ def expect_surprisal(weights, at, inst) -> float:
     return total
 
 
+def surprisal_matrix_reference(P, inst):
+    """(values, defined) of the surprisal, evaluated only on the defined cells
+    gathered by np.nonzero; NaN elsewhere.  The dense library version must
+    match it bit for bit."""
+    nu = P.marginal_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ccp = P.joint / P.marginal_theta[None, :]
+    defined = (ccp > 0) & (nu[:, None] > 0)
+    values = np.full((inst.n, inst.m), np.nan)
+    r, c = np.nonzero(defined)
+    values[r, c] = (inst.utility[r, c]
+                    - inst.alpha * np.log(nu[r] / inst.phi[r])
+                    - np.log(ccp[r, c] / nu[r]))
+    return values, defined
+
+
 def logsumexp_fsum(values) -> float:
     """log sum exp(values), the sum exactly rounded by math.fsum.
 

@@ -5,7 +5,7 @@ import pytest
 
 import statechar as sc
 from statechar import model
-from statechar.bridge import GAUGE_NU_MEAN_ZERO
+from statechar.bridge import GAUGE_NU_MEAN_ZERO, _round_to_marginals
 from statechar.io import gen_instance, generated_instance
 
 from conftest import log_domain_twin, random_simplex
@@ -199,6 +199,15 @@ def test_gap_shrinks_with_convergence():
 def test_gap_exact_zero_product_case(flat2x2):
     sol = sc.sinkhorn_solve(flat2x2, sc.Marginal(weights=flat2x2.phi))
     assert abs(sol.duality_gap) <= 1e-14
+
+
+def test_rounding_fills_an_empty_row():
+    # A row whose every cell underflowed has sum 0: it is left for the
+    # rank-one patch to fill, not divided by.
+    joint = np.array([[0.0, 0.0], [0.5, 0.5]])
+    row, col = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    x = _round_to_marginals(joint, row, col)
+    np.testing.assert_array_equal(x, [[0.125, 0.125], [0.375, 0.375]])
 
 
 def steep_transport_instance(seed, n, m, s):

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +460,54 @@ _VALUES = st.recursive(
 @given(_VALUES)
 def test_dumps_canonical_matches_per_element_reference(obj):
     assert dumps_canonical(obj) == dumps_canonical_reference(obj)
+
+
+_MATRICES = hnp.arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)))  # (0, k) and (k, 0) too
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_VALUES, _MATRICES, st.dictionaries(st.text(max_size=3), _MATRICES,
+                                                     max_size=3)))
+def test_streamed_writer_matches_text_and_reference(obj):
+    fh = io.StringIO()
+    assert dumps_canonical(obj, fh) is None
+    assert fh.getvalue() == dumps_canonical(obj) == dumps_canonical_reference(obj)
+
+
+def test_instance_hash_is_sha256_of_canonical_text():
+    payload = gen_instance(2, 6, 4)
+    text = dumps_canonical(payload)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert instance_hash(payload) == digest
+    # Field order and array types of the raw payload do not matter.
+    shuffled = dict(reversed(list(payload.items())), extra=1)
+    shuffled["utility"] = np.array(payload["utility"])
+    assert instance_hash(shuffled) == digest
+
+
+def test_report_writer_and_hash_hold_one_row_at_a_time(tmp_path):
+    # The text of each is about 3 MB; neither may hold it, or a list of a
+    # whole matrix, at once.
+    report = {"coupling": np.random.default_rng(0).random((400, 400))}
+    raw = gen_instance(0, 400, 400)
+    path = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            dumps_canonical(report, fh)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        digest = instance_hash(raw)
+        hash_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3_000_000
+    assert path.read_text(encoding="utf-8") == dumps_canonical(report)
+    assert digest == hashlib.sha256(dumps_canonical(raw).encode("utf-8")).hexdigest()
+    assert write_peak < 1 << 20
+    assert hash_peak < 1 << 20
 
 
 @pytest.mark.parametrize("obj", [

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from statechar import model
 from statechar.io import generated_instance
 
 from conftest import log_domain_twin, random_coupling, random_simplex
-from oracles import expect_surprisal, kappa_first_form, logsumexp_fsum, mi_direct
+from oracles import (expect_surprisal, kappa_first_form, logsumexp_fsum, mi_direct,
+                     surprisal_matrix_reference)
 
 E = math.e
 
@@ -160,6 +162,18 @@ def test_mi_bounded_by_marginal_entropies():
         assert sc.mutual_information(P) <= min(h_row, h_col) + 1e-10
 
 
+def test_mi_cell_whose_marginal_product_underflows():
+    # nu(a) mu(s) = 1e-170 * 1e-160 underflows to 0 under a cell with mass;
+    # that term is taken from the logs of the factors instead of a 0 divisor.
+    joint = np.array([[1e-170, 0.0], [1e-160, 1.0]])
+    row, col = joint.sum(axis=1), joint.sum(axis=0)
+    assert row[0] * col[0] == 0.0
+    direct = math.fsum(p * (math.log(p) - math.log(row[i]) - math.log(col[j]))
+                       for (i, j), p in np.ndenumerate(joint) if p > 0)
+    assert direct > 0.0
+    assert sc.mutual_information(sc.Coupling(joint=joint)) == pytest.approx(direct, rel=1e-12)
+
+
 # --- information cost and objective ------------------------------------------
 
 def test_cost_zero_at_product(flat2x2):
@@ -242,6 +256,30 @@ def test_surprisal_undefined_cells_flagged(sym2x2):
     assert y.defined[0, 0] and y.defined[1, 1]
     assert not y.defined[0, 1] and not y.defined[1, 0]
     assert np.isnan(y.values[0, 1])
+
+
+def test_surprisal_dense_matches_gathered_reference():
+    # Bitwise equal values on defined cells, NaN on the others, and the same
+    # mask, with no RuntimeWarning from the dense evaluation of the others.
+    inst = generated_instance(5, 12, 9, alpha=0.3, lam=0.8)
+    opt = sc.full_solve(inst).coupling.joint
+    assert opt.min() > 0.0
+    holes = np.where(np.random.default_rng(2).random(opt.shape) < 0.3, 0.0, opt)
+    zero_rows = opt.copy()
+    zero_rows[[2, 7]] = 0.0
+    zero_cols = holes.copy()
+    zero_cols[:, [0, 4]] = 0.0
+    for joint in (opt, holes, zero_rows, zero_cols):
+        P = sc.Coupling(joint=joint / joint.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sc.surprisal_matrix(P, inst)
+        values, defined = surprisal_matrix_reference(P, inst)
+        np.testing.assert_array_equal(got.defined, defined)
+        assert np.array_equal(got.values[defined].view(np.uint64),
+                              values[defined].view(np.uint64))
+        assert np.isnan(got.values[~defined]).all()
+        assert defined.all() == (joint is opt)
 
 
 def test_surprisal_zero_mass_row_request():

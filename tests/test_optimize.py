@@ -126,12 +126,9 @@ def test_outer_small_alpha_converges_quickly():
 
 
 # At (3, 60, 20, 0.003, 20) the loop certifies a gap within tol with nu
-# entries at 5e-324, and assembling the coupling then divides by an
-# underflowed row sum.
-UNDERFLOW = pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                              reason="nu entries underflow; assembly divides by 0")
-SWEEP = [pytest.param(seed, n, m, alpha, u_hi,
-                      marks=UNDERFLOW if (seed, alpha, u_hi) == (3, 0.003, 20.0) else ())
+# entries at 5e-324: seven coupling rows and three nu(x) mu(t) products
+# underflow to 0, which the assembly and its certificate must take.
+SWEEP = [(seed, n, m, alpha, u_hi)
          for seed, (n, m) in enumerate([(3, 2), (10, 7), (30, 30), (60, 20), (5, 80)])
          for alpha in (0.003, 0.03, 0.25, 0.9)
          for u_hi in (2.0, 20.0)]
