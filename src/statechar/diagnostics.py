@@ -20,6 +20,7 @@ from .model import (
     Coupling,
     Marginal,
     ProblemInstance,
+    SurprisalMatrix,
     ValidationError,
     mnl_ccp,
     log_partition,
@@ -70,7 +71,10 @@ def _check_plausible(H: Coupling, inst: ProblemInstance, name: str) -> None:
 def _expectation_of_surprisal(weights: Coupling, at: Coupling,
                               inst: ProblemInstance) -> float:
     """sum weights * Y(.; at); requires Y defined wherever weights put mass."""
-    y = surprisal_matrix(at, inst)
+    return _expectation(weights, surprisal_matrix(at, inst))
+
+
+def _expectation(weights: Coupling, y: SurprisalMatrix) -> float:
     mass = weights.joint > 0
     if np.any(mass & ~y.defined):
         raise ValidationError("surprisal undefined on a cell carrying probe mass")
@@ -83,10 +87,13 @@ def gibbs_check(P: Coupling, inst: ProblemInstance) -> float:
     Near zero at the optimum (the surprisal is constant wherever the
     conditional puts mass); typically large elsewhere.
     """
+    return _gibbs_deviation(P, surprisal_matrix(P, inst), inst)
+
+
+def _gibbs_deviation(P: Coupling, y: SurprisalMatrix, inst: ProblemInstance) -> float:
     col = P.marginal_theta
     if np.any(col <= 0.0):
         raise ValidationError("gibbs_check: zero-mass state column")
-    y = surprisal_matrix(P, inst)
     ccp = P.joint / col[None, :]
     worst = 0.0
     for t in range(inst.m):
@@ -108,7 +115,12 @@ def fso_check(P: Coupling, H: Coupling, inst: ProblemInstance,
     in the order given.
     """
     _check_plausible(H, inst, "fso_check probe")
-    base = _expectation_of_surprisal(P, P, inst)
+    return _fso_slopes(P, H, inst, eps_list, _expectation_of_surprisal(P, P, inst))
+
+
+def _fso_slopes(P: Coupling, H: Coupling, inst: ProblemInstance, eps_list,
+                base: float):
+    """fso_check's slopes, given base = E_P[Y(.; P)]."""
     out = []
     for eps in eps_list:
         if not 0.0 < eps < 1.0:
@@ -128,19 +140,30 @@ def directional_derivative_check(P: Coupling, H: Coupling,
     which must vanish linearly in eps.
     """
     _check_plausible(H, inst, "directional probe")
+    y = surprisal_matrix(P, inst)
+    return _directional_error(P, H, inst, eps, _expectation(H, y) - _expectation(P, y),
+                              objective_value(P, inst))
+
+
+def _directional_error(P: Coupling, H: Coupling, inst: ProblemInstance, eps: float,
+                       slope: float, value: float) -> float:
+    """directional_derivative_check, given slope = E_H[Y(.; P)] - E_P[Y(.; P)]
+    and value = U(P)."""
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"directional_derivative_check: eps {eps!r} outside (0, 1)")
     mixed = Coupling(joint=(1.0 - eps) * P.joint + eps * H.joint)
-    fd = (objective_value(mixed, inst) - objective_value(P, inst)) / eps
-    predicted = inst.lam * (_expectation_of_surprisal(H, P, inst)
-                            - _expectation_of_surprisal(P, P, inst))
-    return abs(fd - predicted)
+    fd = (objective_value(mixed, inst) - value) / eps
+    return abs(fd - inst.lam * slope)
 
 
 def jensen_gap(P: Coupling, inst: ProblemInstance) -> float:
     """Envelope slack f(P_x) - U(P) in utils; nonnegative for every coupling."""
+    return _jensen_gap(P, inst, objective_value(P, inst))
+
+
+def _jensen_gap(P: Coupling, inst: ProblemInstance, value: float) -> float:
     f = inst.lam * float(np.dot(inst.mu, log_partition(P.marginal_x, inst)))
-    return f - objective_value(P, inst)
+    return f - value
 
 
 def mnl_residual(P: Coupling, inst: ProblemInstance) -> float:
@@ -191,11 +214,19 @@ def run_diagnostics(solution, inst: ProblemInstance) -> DiagnosticsReport:
     thr = dict(DEFAULT_THRESHOLDS)
     H = product_coupling(inst)
     P = solution.coupling
+    _check_plausible(H, inst, "fso_check probe")
 
-    gibbs = gibbs_check(P, inst)
-    slopes = tuple(fso_check(P, H, inst, DEFAULT_EPS_GRID))
-    dd_err = directional_derivative_check(P, H, inst, min(DEFAULT_EPS_GRID))
-    gap = jensen_gap(P, inst)
+    # Y(.; P), E_P[Y(.; P)] and U(P) are each computed once and shared; Y is
+    # dropped before the probes build their own n x m arrays.
+    y = surprisal_matrix(P, inst)
+    gibbs = _gibbs_deviation(P, y, inst)
+    base = _expectation(P, y)
+    slope = _expectation(H, y) - base
+    del y
+    value = objective_value(P, inst)
+    slopes = tuple(_fso_slopes(P, H, inst, DEFAULT_EPS_GRID, base))
+    dd_err = _directional_error(P, H, inst, min(DEFAULT_EPS_GRID), slope, value)
+    gap = _jensen_gap(P, inst, value)
     bounds = density_bounds(solution.nu_star, inst)
     mnl = mnl_residual(P, inst)
 

@@ -13,12 +13,24 @@ SHA-256.  A report or hash therefore holds about one row of text beside its
 arrays: on a 1000 x 1000 instance a fresh ``statechar solve --report``
 peaks at 122 MB RSS, where building the 47 MB report as one string took
 301 MB.
+
+A large float matrix is formatted on the CPUs in this process's affinity
+mask (``os.sched_getaffinity``; restrict them with ``taskset``): its rows are
+cut into contiguous blocks, forked children write the text of all blocks but
+the first into memfds while this process emits the first, and the blocks'
+text is then emitted in order.  The bytes are the same as on one CPU.
+Without ``fork``, ``sched_getaffinity`` or ``memfd_create``, or below
+``_CELLS_PER_WORKER`` cells per process, every matrix is formatted here.
+The children's memory is not counted in this process's RSS.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import warnings
 
 import numpy as np
 
@@ -37,6 +49,120 @@ __all__ = [
 
 INSTANCE_FIELDS = ("characteristics", "states", "utility", "phi", "mu",
                    "alpha", "lambda")
+
+
+# A float matrix is split across processes only when each gets at least this
+# many cells.  Measured on a 2-vCPU x86-64 sandbox (Python 3.11, numpy 2.4):
+# the canonical text of a random matrix of 2 * C cells (50 and 200 columns)
+# was hashed with 2 processes and with 1, 15 interleaved repeats each, while
+# a busy loop of the same user ran pinned to the second CPU; 10 runs over 25
+# minutes, in which the second vCPU was at times not there at all.  Median
+# cost of the split path against the serial one, per run, for float64 arrays
+# (report matrices): up to 1.07x at C = 50,000, 0.83x to 1.05x at 75,000,
+# 0.78x to 1.05x at 100,000.  Lists of float rows (parsed instances, gen) read
+# 0.95x to 1.19x at 75,000 and 100,000: their rows are type-checked here
+# first, and each page holding their floats is copied on first write while
+# both processes map it, a cost per cell that no C removes.  With the second
+# CPU free and no busy loop, the split path took 0.54x to 0.68x at 100,000.
+_CELLS_PER_WORKER = 75_000
+
+# Largest piece of a child's text passed to ``emit`` at once.
+_CHUNK = 1 << 16
+
+_CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))
+
+
+def _split_count(obj) -> int:
+    """Processes that should format the rows of ``obj``: more than 1 only for
+    a 2-D float matrix (a float ndarray, or a list or tuple of at least 2 rows
+    that hold only floats) of at least 2 * _CELLS_PER_WORKER cells; at most
+    one per row and one per CPU this process may run on."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype.kind != "f":
+            return 1
+        cells = obj.size
+    elif all(isinstance(row, (list, tuple)) for row in obj):
+        cells = sum(map(len, obj))
+    else:
+        return 1
+    workers = min(cells // _CELLS_PER_WORKER, len(obj))
+    if workers < 2 or not _CAN_SPLIT:
+        return 1
+    # list.count compares by identity first: the cheapest exact-type test.
+    if not isinstance(obj, np.ndarray) and not all(
+            row and [*map(type, row)].count(float) == len(row) for row in obj):
+        return 1
+    return min(workers, len(os.sched_getaffinity(0)))
+
+
+def _emit_float_rows(rows, emit, lead: bool) -> None:
+    """``_canonical`` of each row, each after ", " (the first only if
+    ``lead``).  _split_count has checked that the rows hold only floats, so
+    they are not checked again, and rows of one width share one template."""
+    width, template = -1, ""
+    for i, row in enumerate(rows):
+        if isinstance(row, np.ndarray):
+            row = row.tolist()
+        if len(row) != width:
+            width = len(row)
+            template = "[" + ", ".join(["%.17g"] * width) + "]"
+        if i or lead:
+            emit(", ")
+        emit(template % tuple(row))
+
+
+def _write_rows_and_exit(rows, fd) -> None:
+    """In a forked child: write the rows' text, each after ", ", to ``fd``,
+    then exit, with status 1 on any error; never returns."""
+    code = 1
+    try:
+        with open(fd, "w", encoding="ascii", buffering=_CHUNK, closefd=False) as out:
+            _emit_float_rows(rows, out.write, True)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _emit_split(rows, workers, emit) -> None:
+    """Emit the rows of a float matrix, comma-separated, on ``workers``
+    processes.  The rows are cut into contiguous blocks; a forked child writes
+    the text of each block after the first into its own memfd while this
+    process emits the first block, then each child is reaped and its text
+    passed on in order."""
+    bounds = [len(rows) * k // workers for k in range(workers + 1)]
+    children = []  # [pid or 0 once reaped, memfd], one per block after the first
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append([0, os.memfd_create("statechar-rows", os.MFD_CLOEXEC)])
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork() in a process with threads, and
+                # numpy's BLAS pool counts.  Safe here: the child only formats
+                # floats into its memfd and calls os._exit, taking no lock and
+                # running no BLAS.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                    DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _write_rows_and_exit(rows[lo:hi], children[-1][1])
+            children[-1][0] = pid
+        _emit_float_rows(rows[:bounds[1]], emit, False)
+        for child in children:
+            pid, fd = child
+            status = os.waitpid(pid, 0)[1]
+            child[0] = 0
+            if status:
+                raise OSError(f"process {pid} formatting matrix rows failed "
+                              f"(exit status {os.waitstatus_to_exitcode(status)})")
+            os.lseek(fd, 0, os.SEEK_SET)
+            while chunk := os.read(fd, _CHUNK):
+                emit(chunk.decode("ascii"))
+    finally:
+        for pid, fd in children:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def _canonical(obj, emit) -> None:
@@ -60,10 +186,14 @@ def _canonical(obj, emit) -> None:
         emit(("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         emit("[")
-        for i, v in enumerate(obj):
-            if i:
-                emit(", ")
-            _canonical(v, emit)
+        workers = _split_count(obj)
+        if workers > 1:
+            _emit_split(obj, workers, emit)
+        else:
+            for i, v in enumerate(obj):
+                if i:
+                    emit(", ")
+                _canonical(v, emit)
         emit("]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         emit("true" if obj else "false")

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import statechar as sc
 import statechar.cli
+import statechar.io
 from statechar.cli import main
 from statechar.io import dumps_canonical, gen_instance, instance_hash
 
@@ -519,6 +523,150 @@ def test_dumps_canonical_rejects_unsupported(obj):
         dumps_canonical_reference(obj)
     with pytest.raises(TypeError):
         dumps_canonical(obj)
+
+
+# --- float matrices split across processes -------------------------------------
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -2.5]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make io split every float matrix of 2 or more rows across ``cpus``
+    processes; returns the pids forked so far."""
+    if not statechar.io._CAN_SPLIT:
+        pytest.skip("needs os.fork, os.sched_getaffinity and os.memfd_create")
+    pids = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        pids.append(pid)
+        return pid
+
+    def force(cpus, chunk=None):
+        monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", fork)
+        if chunk:
+            monkeypatch.setattr(statechar.io, "_CHUNK", chunk)
+        return pids
+    return force
+
+
+def _special_matrix(rows, kind):
+    cells = np.resize(np.array(_SPECIAL), rows * 3).reshape(rows, 3)
+    cells[:, 1] = np.random.default_rng(rows).random(rows)
+    return {"float64": cells, "float32": cells.astype(np.float32),
+            "list": cells.tolist(), "tuple": tuple(map(tuple, cells.tolist()))}[kind]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("kind", ["float64", "float32", "list", "tuple"])
+@pytest.mark.parametrize("rows", range(2, 8))
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_matrix_is_byte_identical(forks, cpus, rows, kind, chunk):
+    matrix = _special_matrix(rows, kind)
+    reference = dumps_canonical_reference({"m": matrix})
+    pids = forks(cpus, chunk)
+    assert dumps_canonical({"m": matrix}) == reference
+    assert len(pids) == min(cpus, rows) - 1  # at most one process per row
+    fh = io.StringIO()
+    dumps_canonical({"m": matrix}, fh)
+    assert fh.getvalue() == reference
+    payload = dict(gen_instance(1, rows, 3), utility=matrix)
+    text = dumps_canonical_reference(statechar.io.instance_payload(payload))
+    assert instance_hash(payload) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert len(pids) == 3 * (min(cpus, rows) - 1)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_gen_keeps_golden_bytes(forks, tmp_path, cpus):
+    pids = forks(cpus)
+    path = tmp_path / "g.json"
+    main(["gen", "--seed", "3", "--n", "5", "--m", "4", "--out", str(path)])
+    assert pids
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5, 1], [0.25, 0.75], [0.5, 0.5]],       # an int in a row
+    [[0.5, 0.5], ["a", 0.75], [0.5, 0.5]],      # a str in a row
+    [[0.5, 0.5], [], [0.5, 0.5]],               # an empty row
+    [[0.5, 0.5], np.array([0.5, 0.5])],         # an ndarray row
+    [[0.5, 0.5], [np.float64(0.5), 0.5]],       # a float subclass
+    np.array([[1, 2], [3, 4]]),                 # an int array
+    np.array([[True, False], [False, True]]),   # a bool array
+    np.zeros((1, 6)), [[0.5] * 6],              # one row
+])
+def test_only_float_matrices_are_split(forks, matrix):
+    pids = forks(2)
+    assert dumps_canonical(matrix) == dumps_canonical_reference(matrix)
+    assert pids == []
+
+
+def test_split_needs_cells_per_worker(forks, monkeypatch):
+    pids = forks(3)
+    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 10)
+    dumps_canonical(np.zeros((4, 5)))  # 20 cells: 2 processes
+    assert len(pids) == 1
+    dumps_canonical(np.zeros((3, 6)))  # 18 cells: 1 process
+    assert len(pids) == 1
+
+
+def test_split_child_failure_raises_oserror(forks, monkeypatch):
+    pids = forks(3)
+    monkeypatch.setattr(statechar.io, "_write_rows_and_exit", lambda rows, fd: os._exit(3))
+    fh = io.StringIO()
+    with pytest.raises(OSError, match=r"process \d+ formatting matrix rows failed "
+                                      r"\(exit status 3\)"):
+        dumps_canonical(np.zeros((4, 2)), fh)
+    assert len(pids) == 2
+    assert fh.getvalue() == "[[0, 0]"  # the first block only, no child text
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("fail_at", [1, 2, 6, 12])
+def test_split_reaps_children_when_emit_raises(forks, exc, fail_at):
+    # Pieces: "[", the first block's rows, then the children's 7-byte chunks.
+    pids = forks(3, chunk=7)
+    written = []
+
+    class Sink:
+        def write(self, piece):
+            if len(written) == fail_at:
+                raise exc("sink failed")
+            written.append(piece)
+
+    with pytest.raises(exc, match="sink failed"):
+        dumps_canonical(_special_matrix(6, "float64"), Sink())
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_split_solve_report_under_warnings_as_errors(tmp_path):
+    # A report big enough for the split path on a machine with 2 or more CPUs;
+    # Python >= 3.12 warns on fork() while numpy's BLAS threads run.
+    n, m = 400, 400
+    assert n * m // statechar.io._CELLS_PER_WORKER >= 2
+    path = write_instance(tmp_path, gen_instance(2, n, m))
+    report = tmp_path / "r.json"
+    code = ("import sys; from statechar.cli import main; "
+            "sys.exit(main(['solve', '--instance', sys.argv[1], '--report', sys.argv[2]]))")
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, path, str(report)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["instance_hash"] == hashlib.sha256(
+        open(path, "rb").read()).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["solve", "bridge"])
