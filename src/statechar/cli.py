@@ -6,8 +6,14 @@ body, its stdout rendering and its ok/not-ok outcome, and declares only the
 options it reads; the report's ``flags`` echo its tuning options.  Machine
 reports are written to ``--report`` as canonical JSON (fixed field order, 17
 significant digits); human tables on stdout are rendered from the same report
-dict, never computed separately.  Exit codes: 0 success, 2 input error, 3
-non-convergence.
+dict, never computed separately.  Exit codes: 0 success, 2 input error
+(including an output path that cannot be opened), 3 non-convergence.
+
+Every report header carries ``"schema": 2``.  Schema 2 writes one n x m
+matrix per solution: ``solution.coupling``, the optimal policy P*(x, t).  The
+conditional choice probabilities P(x|t) are its columns divided by mu(t), the
+instance's pruned and renormalized state prior (or, to 1e-10, by the
+coupling's column sums); ``solve`` renders its P(x|t) table that way.
 
 Reports are byte-identical across runs for fixed inputs and seeds; wall-clock
 timings are added only on request (``--timings``) since they would break that
@@ -46,12 +52,16 @@ from .model import (
     kl_divergence,
     mutual_information,
     objective_value,
+    validate_instance,
 )
 from .optimize import brute_force_oracle, full_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+
+# Report format version, written in every report header after "version".
+SCHEMA = 2
 
 # Tuning options by report key.  A command's report echoes the ones it
 # declares as "flags"; every command declares them in this order.
@@ -96,7 +106,6 @@ def _solution_payload(inst, sol) -> dict:
     return {
         "converged": sol.converged,
         "nu_star": sol.nu_star.weights.tolist(),
-        "ccp": sol.ccp,
         "coupling": sol.coupling.joint,
         "U_star": sol.U_star,
         "f_star": sol.f_star,
@@ -123,7 +132,8 @@ def _show_solve(report, inst) -> None:
     s = report["solution"]
     _print_vector("optimal marginal nu*", inst.characteristic_labels, s["nu_star"])
     _print_matrix("conditional choice probabilities P(x|t)",
-                  inst.characteristic_labels, inst.state_labels, s["ccp"])
+                  inst.characteristic_labels, inst.state_labels,
+                  s["coupling"] / inst.mu)
     print(f"U* = {_fmt(s['U_star'])}   f* = {_fmt(s['f_star'])}")
     print(f"cost = {_fmt(s['kappa'])} "
           f"(vertical {_fmt(s['kappa_vertical'])}, "
@@ -285,11 +295,19 @@ def _load_hashed(path):
     return inst, instance_hash(raw)
 
 
+def _open_output(path):
+    """``path`` opened for writing text; an OSError is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from None
+
+
 def _run(args) -> int:
     _, files, _, tuning, body, show = _COMMANDS[args.command]
     t0 = time.perf_counter()
     loaded = [_load_hashed(getattr(args, name)) for name in files]
-    report = {"command": args.command, "version": __version__}
+    report = {"command": args.command, "version": __version__, "schema": SCHEMA}
     for name, (_, digest) in zip(files, loaded):
         report[f"{name}_hash"] = digest
     report["flags"] = {key: getattr(args, key) for key in tuning}
@@ -300,7 +318,7 @@ def _run(args) -> int:
     if args.timings:
         report["timings"] = {"seconds": elapsed}
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _open_output(args.report) as fh:
             dumps_canonical(report, fh)
     show(report, *insts)
     print(f"elapsed: {elapsed:.3f} s")
@@ -311,9 +329,10 @@ def _cmd_gen(args) -> int:
     payload = gen_instance(args.seed, args.n, args.m,
                            u_range=(args.umin, args.umax),
                            alpha=args.alpha, lam=args.lam)
+    validate_instance(payload)  # write only what every command accepts
     text = dumps_canonical(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
         # gen_instance returns INSTANCE_FIELDS in canonical order, so this is
         # instance_hash(payload) without serializing the payload again.

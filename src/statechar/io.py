@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import warnings
@@ -269,13 +270,17 @@ def gen_instance(seed: int, n: int, m: int, u_range=(0.0, 2.0),
                  alpha: float = 0.5, lam: float = 1.0) -> dict:
     """Deterministic pseudo-random instance payload.
 
-    Utilities are uniform on ``u_range``; priors are uniform draws bounded
-    away from zero, then normalized.  The same seed always yields the same
-    payload (and therefore byte-identical files).
+    Utilities are uniform on ``u_range``, whose bounds and width must be
+    finite; priors are uniform draws bounded away from zero, then normalized.
+    The same seed always yields the same payload (and therefore
+    byte-identical files).
     """
     if n < 1 or m < 1:
         raise ValidationError("gen_instance: n and m must be >= 1")
     lo, hi = float(u_range[0]), float(u_range[1])
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"gen_instance: utility range {(lo, hi)!r} is not finite "
+                              "or too wide")
     if not hi >= lo:
         raise ValidationError("gen_instance: empty utility range")
     rng = np.random.default_rng(seed)

@@ -208,7 +208,8 @@ def validate_instance(raw) -> ProblemInstance:
 
     Raises ValidationError on: negative or NaN probabilities, simplex sums
     off by more than 1e-9, non-finite utilities, alpha outside (0, 1],
-    lambda <= 0, or an empty characteristic/state set after pruning.
+    lambda <= 0 or infinite, a utility / lambda that overflows, or an empty
+    characteristic/state set after pruning.
     """
     try:
         chars = list(raw["characteristics"])
@@ -242,8 +243,12 @@ def validate_instance(raw) -> ProblemInstance:
                 "alpha: 0 is rejected -- with no cost on diverging from phi the "
                 "optimal policy need not be unique; use alpha in (0, 1]")
         raise ValidationError(f"alpha: {alpha!r} outside (0, 1]")
-    if not lam > 0.0:
-        raise ValidationError(f"lambda: {lam!r} must be > 0")
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"lambda: {lam!r} must be finite and > 0")
+    with np.errstate(over="ignore"):
+        scaled = utility / lam
+    if not np.all(np.isfinite(scaled)):
+        raise ValidationError(f"utility: u / lambda overflows at lambda = {lam!r}")
 
     _check_simplex(phi, "phi", INPUT_SIMPLEX_TOL)
     _check_simplex(mu, "mu", INPUT_SIMPLEX_TOL)
@@ -257,14 +262,14 @@ def validate_instance(raw) -> ProblemInstance:
 
     phi = phi[keep_x]
     mu = mu[keep_t]
-    utility = utility[np.ix_(keep_x, keep_t)]
+    scaled = scaled[np.ix_(keep_x, keep_t)]
     chars = [c for c, k in zip(chars, keep_x) if k]
     states = [s for s, k in zip(states, keep_t) if k]
 
     return ProblemInstance(
         characteristic_labels=tuple(chars),
         state_labels=tuple(states),
-        utility=_readonly(utility / lam),
+        utility=_readonly(scaled),
         phi=_readonly(phi / phi.sum()),
         mu=_readonly(mu / mu.sum()),
         alpha=alpha,

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -100,6 +101,17 @@ def test_parse_bad_json_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["solve", "--instance", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "gen"])
+def test_unwritable_output_path_exit_2(sym_file, tmp_path, capsys, command):
+    out = str(tmp_path / "absent" / "out.json")
+    argv = {"solve": ["solve", "--instance", sym_file, "--report", out],
+            "gen": ["gen", "--n", "3", "--m", "2", "--out", out]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+    assert captured.out == ""
 
 
 # --- solve -------------------------------------------------------------------
@@ -312,6 +324,21 @@ def test_gen_then_solve(tmp_path):
     assert main(["solve", "--instance", path]) == 0
 
 
+@pytest.mark.parametrize("options", [
+    ["--alpha", "1.5", "--lambda", "-1"], ["--alpha", "0"], ["--lambda", "0"],
+    ["--lambda", "inf"], ["--umax", "inf"], ["--umin=-1e308", "--umax=1e308"],
+    ["--umax", "1e308", "--lambda", "0.5"],
+])
+def test_gen_writes_no_invalid_instance(tmp_path, capsys, options):
+    path = tmp_path / "g.json"
+    assert main(["gen", "--n", "3", "--m", "2", "--out", str(path)] + options) == 2
+    assert not path.exists()
+    assert main(["gen", "--n", "3", "--m", "2"] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --- malformed and non-finite inputs ------------------------------------------
 
 def test_nan_prior_exit_2(tmp_path, capsys):
@@ -415,6 +442,57 @@ def test_report_flags_echo_declared_options(sym_file, tmp_path, command, flags):
     argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
     assert main(argv) == 0
     assert list(json.loads(open(report_path).read())["flags"]) == flags
+
+
+SOLUTION_KEYS = ["converged", "nu_star", "coupling", "U_star", "f_star",
+                 "expected_utility", "kappa", "kappa_vertical",
+                 "kappa_mutual_information", "foc_residual", "marginal_residual",
+                 "duality_gap", "outer_iterations"]
+
+
+@pytest.mark.parametrize("command,hashes", [
+    ("solve", ["instance_hash"]), ("bridge", ["instance_hash"]),
+    ("entry", ["instance_hash", "entrant_hash"]), ("oracle", ["instance_hash"]),
+    ("diagnose", ["instance_hash"]),
+])
+def test_report_schema_2_keys(sym_file, tmp_path, command, hashes):
+    report_path = str(tmp_path / "r.json")
+    argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
+    assert main(argv) == 0
+    report = json.loads(open(report_path).read())
+    header = ["command", "version", "schema", *hashes, "flags"]
+    assert list(report)[:len(header)] == header
+    assert report["schema"] == 2
+    if command in ("solve", "oracle"):
+        assert list(report["solution"]) == SOLUTION_KEYS  # one n x m matrix, no ccp
+    else:
+        assert "solution" not in report
+
+
+def test_solve_table_is_library_ccp(tmp_path, capsys):
+    # The table is rendered from the report's coupling / mu, not from ccp.
+    payload = gen_instance(7, 40, 30)
+    path = write_instance(tmp_path, payload)
+    assert main(["solve", "--instance", path]) == 0
+    out = capsys.readouterr().out
+    inst = sc.validate_instance(payload)
+    print_matrix_reference("conditional choice probabilities P(x|t)",
+                           inst.characteristic_labels, inst.state_labels,
+                           sc.full_solve(inst).ccp)
+    table = capsys.readouterr().out
+    assert "\n" + table + "U* = " in out
+
+
+def test_report_coupling_over_mu_is_library_ccp(tmp_path):
+    payload = gen_instance(8, 100, 100)
+    path = write_instance(tmp_path, payload)
+    report_path = str(tmp_path / "r.json")
+    assert main(["solve", "--instance", path, "--report", report_path]) == 0
+    coupling = np.array(json.loads(open(report_path).read())["solution"]["coupling"])
+    inst = sc.validate_instance(payload)
+    ccp = sc.full_solve(inst).ccp
+    assert np.all(np.abs(coupling / inst.mu - ccp) <= np.spacing(ccp))
+    assert np.max(np.abs(coupling / coupling.sum(axis=0) - ccp)) <= 1e-10
 
 
 def test_hook_points_looked_up_at_call_time(sym_file, tmp_path, monkeypatch):

@@ -58,6 +58,8 @@ def test_alpha_zero_rejected_with_uniqueness_reason():
     {"alpha": -0.3},
     {"lam": 0.0},
     {"lam": -1.0},
+    {"lam": np.inf},
+    {"utility": [[1e308, 0], [0, 1]], "lam": 0.5},  # u / lambda overflows
 ])
 def test_validation_rejects(bad):
     base = dict(characteristics=["a", "b"], states=["s", "t"],
