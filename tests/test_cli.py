@@ -38,6 +38,19 @@ SYM2X2 = {
 }
 
 
+_REAL_GETAFFINITY = getattr(os, "sched_getaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def affinity_mask_restored():
+    """Every test leaves this process's CPU affinity mask as it found it,
+    whatever worker processes it started (tests may fake the mask)."""
+    before = _REAL_GETAFFINITY(0) if _REAL_GETAFFINITY else None
+    yield
+    if _REAL_GETAFFINITY:
+        assert _REAL_GETAFFINITY(0) == before
+
+
 @pytest.fixture
 def sym_file(tmp_path):
     path = tmp_path / "sym.json"
@@ -499,14 +512,20 @@ def test_hook_points_looked_up_at_call_time(sym_file, tmp_path, monkeypatch):
     import statechar.cli
     import statechar.io
 
-    calls = {}
+    # Each call is logged as one line of an O_APPEND file, so that calls made
+    # in a forked hash worker are counted too.
+    log = tmp_path / "calls.log"
     hooks = [(statechar.cli, name) for name in (
         "load_instance", "instance_hash", "dumps_canonical", "full_solve",
         "run_diagnostics", "sinkhorn_solve", "schrodinger_residual")]
     hooks.append((statechar.io, "validate_instance"))
     for module, name in hooks:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{_name}\n".encode())
+            finally:
+                os.close(fd)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -514,6 +533,9 @@ def test_hook_points_looked_up_at_call_time(sym_file, tmp_path, monkeypatch):
     for command in ("solve", "bridge"):
         argv = _command_argv(tmp_path, sym_file, command) + ["--report", report_path]
         assert main(argv) == 0
+    calls = {}
+    for name in log.read_text().split():
+        calls[name] = calls.get(name, 0) + 1
     assert sorted(calls) == sorted(name for _, name in hooks)
 
 
@@ -603,6 +625,21 @@ def test_dumps_canonical_rejects_unsupported(obj):
         dumps_canonical(obj)
 
 
+@pytest.mark.parametrize("block_cells", [None, 1, 7])
+@pytest.mark.parametrize("obj", [
+    np.arange(3000.0 * 3).reshape(3000, 3) / 7,
+    (np.arange(3000.0 * 3).reshape(3000, 3) / 7).tolist(),
+    [[0.5] * w for w in (1, 1, 2, 2, 2, 5000, 3, 3)],        # ragged rows
+    ((0.25, -0.0), [math.nan, math.inf], (5e-324, 1e16)),     # tuple and list rows
+    np.array([[0.1] * 5000, [0.2] * 5000], dtype=np.float32),  # rows wider than a block
+    ["x1", "t\u00e9", 'a"b', ""],                            # a list of str
+])
+def test_blocks_of_rows_match_reference(monkeypatch, obj, block_cells):
+    if block_cells:
+        monkeypatch.setattr(statechar.io, "_BLOCK_CELLS", block_cells)
+    assert dumps_canonical({"m": obj}) == dumps_canonical_reference({"m": obj})
+
+
 # --- float matrices split across processes -------------------------------------
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -2.5]
@@ -611,8 +648,9 @@ _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -2.5]
 @pytest.fixture
 def forks(monkeypatch):
     """Make io split every float matrix of 2 or more rows across ``cpus``
-    processes; returns the pids forked so far."""
-    if not statechar.io._CAN_SPLIT:
+    processes; returns the pids forked so far.  The affinity mask is faked,
+    so setting it is a no-op: the real mask may hold other CPUs."""
+    if not statechar.io._CAN_FORK:
         pytest.skip("needs os.fork, os.sched_getaffinity and os.memfd_create")
     pids = []
 
@@ -624,6 +662,7 @@ def forks(monkeypatch):
     def force(cpus, chunk=None):
         monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
         monkeypatch.setattr(os, "fork", fork)
         if chunk:
             monkeypatch.setattr(statechar.io, "_CHUNK", chunk)
@@ -642,12 +681,18 @@ def _special_matrix(rows, kind):
 @pytest.mark.parametrize("kind", ["float64", "float32", "list", "tuple"])
 @pytest.mark.parametrize("rows", range(2, 8))
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_split_matrix_is_byte_identical(forks, cpus, rows, kind, chunk):
+def test_split_matrix_is_byte_identical(forks, monkeypatch, cpus, rows, kind, chunk):
     matrix = _special_matrix(rows, kind)
     reference = dumps_canonical_reference({"m": matrix})
     pids = forks(cpus, chunk)
+    pinned = []  # this process's affinity masks, as set
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(set(mask)))
     assert dumps_canonical({"m": matrix}) == reference
-    assert len(pids) == min(cpus, rows) - 1  # at most one process per row
+    workers = min(cpus, rows) - 1  # at most one process per row
+    assert len(pids) == workers
+    # Each spawn leaves the main thread the CPUs below the workers'; the mask
+    # is then restored.
+    assert pinned == [set(range(cpus - k)) for k in range(1, workers + 1)] + [set(range(cpus))]
     fh = io.StringIO()
     dumps_canonical({"m": matrix}, fh)
     assert fh.getvalue() == reference
@@ -696,7 +741,7 @@ def test_split_needs_cells_per_worker(forks, monkeypatch):
 
 def test_split_child_failure_raises_oserror(forks, monkeypatch):
     pids = forks(3)
-    monkeypatch.setattr(statechar.io, "_write_rows_and_exit", lambda rows, fd: os._exit(3))
+    monkeypatch.setattr(statechar.io, "_write_rows", lambda rows, out: os._exit(3))
     fh = io.StringIO()
     with pytest.raises(OSError, match=r"process \d+ formatting matrix rows failed "
                                       r"\(exit status 3\)"):
@@ -766,3 +811,276 @@ def test_stdout_tables_match_per_cell_reference(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(statechar.cli, "_print_matrix", print_matrix_reference)
     assert got == stdout()
     assert len(got) > 40
+
+
+# --- the report file and the instance hash worker -------------------------------
+
+def _recorded_forks(monkeypatch):
+    """Record the pid of every os.fork in this process."""
+    pids = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus():
+    if statechar.io.Workers.cpus() < 2:
+        pytest.skip("needs os.fork, os.sched_getaffinity, os.memfd_create and 2 CPUs")
+    return sorted(os.sched_getaffinity(0))
+
+
+@pytest.fixture
+def hash_files(tmp_path):
+    """(instance, entrant, nu) files of a 40 x 30 instance; the entrant has
+    phi reversed."""
+    payload = gen_instance(5, 40, 30)
+    nu = tmp_path / "nu.json"
+    nu.write_text(dumps_canonical(payload["phi"]))
+    return (write_instance(tmp_path, payload),
+            write_instance(tmp_path, dict(payload, phi=payload["phi"][::-1]), "ent.json"),
+            str(nu))
+
+
+def _hash_argv(command, files):
+    instance, entrant, nu = files
+    return {"solve": ["solve", "--instance", instance],
+            "bridge": ["bridge", "--instance", instance, "--nu", nu],
+            "entry": ["entry", "--instance", instance, "--entrant", entrant]}[command]
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["solve", "bridge", "entry"])
+def test_report_bytes_equal_with_worker_and_inline(two_cpus, hash_files, tmp_path,
+                                                  monkeypatch, command):
+    argv = _hash_argv(command, hash_files)
+    pids = _recorded_forks(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    reports = {}
+    for mode in ("worker", "inline"):
+        with monkeypatch.context() as patch:
+            if mode == "inline":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {min(mask)})
+            forked = len(pids)
+            path = tmp_path / f"{mode}.json"
+            assert main(argv + ["--report", str(path)]) == 0
+            assert len(pids) - forked == (mode != "inline")
+        assert os.sched_getaffinity(0) == mask
+        reports[mode] = path.read_bytes()
+        report = json.loads(reports[mode])
+        assert report["instance_hash"] == _sha256(hash_files[0])
+        if command == "entry":
+            assert report["entrant_hash"] == _sha256(hash_files[1])
+    assert reports["worker"] == reports["inline"]
+    assert statechar.cli.PENDING_HASH.encode() not in reports["worker"]
+    _assert_reaped(pids)
+
+
+def test_report_to_a_non_regular_file(two_cpus, sym_file):
+    # No placeholder can be overwritten in a pipe or device: the report waits.
+    assert main(["solve", "--instance", sym_file, "--report", os.devnull]) == 0
+
+
+def test_worker_and_main_thread_on_different_cpus(two_cpus, sym_file, tmp_path, monkeypatch):
+    log = tmp_path / "cpus.log"
+
+    def record(where, _log=str(log)):
+        fd = os.open(_log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{where} {sorted(os.sched_getaffinity(0))}\n".encode())
+        finally:
+            os.close(fd)
+
+    def hashed(raw, _fn=statechar.cli.instance_hash):
+        record("worker")
+        return _fn(raw)
+
+    def solved(*args, _fn=statechar.cli.full_solve, **kwargs):
+        record("main")
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(statechar.cli, "instance_hash", hashed)
+    monkeypatch.setattr(statechar.cli, "full_solve", solved)
+    assert main(["solve", "--instance", sym_file, "--report", str(tmp_path / "r.json")]) == 0
+    assert sorted(log.read_text().splitlines()) == [
+        f"main [{two_cpus[0]}]", f"worker [{two_cpus[1]}]"]
+    assert sorted(os.sched_getaffinity(0)) == two_cpus
+
+
+def test_report_splits_over_cpus_left_by_hash_worker(hash_files, tmp_path, monkeypatch):
+    # With a faked 4-CPU mask, the hash worker takes CPU 3 and the main thread
+    # keeps 0-2, over which the report's matrices are still split.
+    if not statechar.io._CAN_FORK:
+        pytest.skip("needs os.fork, os.sched_getaffinity and os.memfd_create")
+    argv = _hash_argv("solve", hash_files)
+    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(statechar.cli, "hash_splits", lambda raw: False)
+    mask, pinned = [{0}], []
+
+    def setaffinity(pid, cpus):
+        mask[0] = set(cpus)
+        pinned.append(set(cpus))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    pids = _recorded_forks(monkeypatch)
+    assert main(argv + ["--report", str(tmp_path / "one.json")]) == 0
+    assert pids == [] and pinned == []
+    mask[0] = {0, 1, 2, 3}
+    assert main(argv + ["--report", str(tmp_path / "four.json")]) == 0
+    assert pinned[0] == {0, 1, 2} and pinned[-1] == {0, 1, 2, 3}
+    assert {0, 1} in pinned  # a matrix split on the main thread's three CPUs
+    assert len(pids) > 1
+    _assert_reaped(pids)
+    assert (tmp_path / "four.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    assert json.loads((tmp_path / "four.json").read_text())["instance_hash"] == _sha256(
+        hash_files[0])
+
+
+def test_hash_that_splits_runs_in_the_process(two_cpus, hash_files, tmp_path, monkeypatch):
+    # An instance big enough for its own hash to be split is hashed here.
+    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
+    hashed_in = []
+
+    def hashed(raw, _fn=statechar.cli.instance_hash):
+        hashed_in.append(os.getpid())
+        return _fn(raw)
+
+    monkeypatch.setattr(statechar.cli, "instance_hash", hashed)
+    report = tmp_path / "r.json"
+    assert main(_hash_argv("solve", hash_files) + ["--report", str(report)]) == 0
+    assert hashed_in == [os.getpid()]
+    assert json.loads(report.read_text())["instance_hash"] == _sha256(hash_files[0])
+
+
+def test_no_report_no_hash(sym_file, tmp_path, capsys, monkeypatch):
+    def stdout():
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("elapsed:")]
+
+    assert main(["solve", "--instance", sym_file, "--report", str(tmp_path / "r.json")]) == 0
+    with_report = stdout()
+
+    def never(raw):
+        raise AssertionError("instance_hash called without --report")
+
+    monkeypatch.setattr(statechar.cli, "instance_hash", never)
+    pids = _recorded_forks(monkeypatch)
+    assert main(["solve", "--instance", sym_file]) == 0
+    assert stdout() == with_report
+    assert pids == []
+
+
+@pytest.mark.parametrize("command", ["solve", "bridge", "entry", "oracle", "diagnose"])
+def test_unwritable_report_exit_2_before_solving(sym_file, tmp_path, capsys, no_solve,
+                                                 monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("full_solve ran before the report path was checked")
+
+    monkeypatch.setattr(statechar.cli, "full_solve", never)
+    out = str(tmp_path / "absent" / "r.json")
+    assert main(_command_argv(tmp_path, sym_file, command) + ["--report", out]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge", "--nu", "BAD"],                       # malformed --nu file
+    ["entry", "--entrant", "SYM", "--alpha-tol", "nan"],
+    ["solve", "--outer-tol", "-1"],
+])
+@pytest.mark.parametrize("existing", [True, False])
+def test_input_error_leaves_report_path_alone(sym_file, tmp_path, existing, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('["x", 1.0]')
+    report = tmp_path / "r.json"
+    if existing:
+        report.write_text("previous report\n")
+    argv = [{"BAD": str(bad), "SYM": sym_file}.get(a, a) for a in argv]
+    assert main(argv[:1] + ["--instance", sym_file] + argv[1:]
+                + ["--report", str(report)]) == 2
+    if existing:
+        assert report.read_text() == "previous report\n"
+    else:
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exit 3", "raises"])
+def test_no_child_left_after_main(two_cpus, tmp_path, monkeypatch, outcome):
+    path = write_instance(tmp_path, gen_instance(11, 3, 3, alpha=0.25))
+    nu = tmp_path / "nu.json"
+    nu.write_text("[NaN, 0.5, 0.5]")
+    argv = {"exit 0": ["solve", "--instance", path],
+            "exit 2": ["bridge", "--instance", path, "--nu", str(nu)],
+            "exit 3": ["solve", "--instance", path, "--max-iter", "2"],
+            "raises": ["solve", "--instance", path]}[outcome]
+    if outcome == "raises":
+        def boom(*args, **kwargs):
+            raise RuntimeError("body failed")
+        monkeypatch.setattr(statechar.cli, "full_solve", boom)
+    pids = _recorded_forks(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    report = tmp_path / "r.json"
+    if outcome == "raises":
+        with pytest.raises(RuntimeError, match="body failed"):
+            main(argv + ["--report", str(report)])
+    else:
+        assert main(argv + ["--report", str(report)]) == int(outcome[-1])
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert os.sched_getaffinity(0) == mask
+    assert report.exists() == (outcome in ("exit 0", "exit 3"))
+
+
+def test_hash_worker_failure_raises_oserror(two_cpus, sym_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(statechar.cli, "_write_hashes", lambda raws, out: os._exit(3))
+    pids = _recorded_forks(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    report = tmp_path / "r.json"
+    with pytest.raises(OSError, match=r"process \d+ hashing the instance failed "
+                                      r"\(exit status 3\)"):
+        main(["solve", "--instance", sym_file, "--report", str(report)])
+    assert not report.exists()
+    _assert_reaped(pids)
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_failed_report_to_a_fifo_leaves_it(sym_file, tmp_path, monkeypatch):
+    # Only a regular file this run wrote into is removed on failure: here the
+    # reader goes away while the command solves, so writing the report fails.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = [os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)]
+
+    def solve_then_close_reader(*args, _fn=statechar.cli.full_solve, **kwargs):
+        os.close(reader.pop())
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(statechar.cli, "full_solve", solve_then_close_reader)
+    with pytest.raises(BrokenPipeError):
+        main(["solve", "--instance", sym_file, "--report", str(fifo)])
+    assert fifo.is_fifo()
+
+
+def test_failed_fork_hashes_inline(two_cpus, tmp_path, monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, "no process for the hash")
+    monkeypatch.setattr(os, "fork", fork)
+    path = write_instance(tmp_path, SYM2X2)
+    report = tmp_path / "r.json"
+    assert main(["solve", "--instance", path, "--report", str(report)]) == 0
+    assert sorted(os.sched_getaffinity(0)) == two_cpus
+    assert json.loads(report.read_text())["instance_hash"] == _sha256(path)
