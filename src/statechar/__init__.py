@@ -4,10 +4,13 @@ A decision-maker chooses an information policy -- a joint distribution over
 hedonic characteristics and payoff states -- trading expected utility against
 an information cost with two components: mutual information between
 characteristic and state, and divergence of the characteristic marginal from
-an exogenous prior.  The package computes the unique optimum by solving an
-entropic-optimal-transport inner problem (stabilized Sinkhorn) inside a
-strictly concave outer problem over the simplex, and ships numerical checks
-for every structural property of the model.
+an exogenous prior.  The package computes the unique optimum by maximizing a
+strictly concave envelope over the characteristic marginal with a
+Blahut-Arimoto-type fixed point, then assembles the optimal policy in closed
+form from it, with a duality-gap certificate.  The two-marginal entropic
+transport problem at a fixed marginal is solved by stabilized Sinkhorn
+(``sinkhorn_solve``, the ``bridge`` command).  The package also ships
+numerical checks for every structural property of the model.
 """
 
 from .model import (

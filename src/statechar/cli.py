@@ -19,10 +19,12 @@ The ``--report`` path is opened before any work, so a path that cannot be
 opened is an immediate input error; an existing file is truncated only when
 the new report is written, and a report left incomplete by a failure is
 removed.  Instance hashes are computed only for a report.  Where the process
-may run on two or more CPUs, they are computed in a forked worker pinned to
-a CPU of its own (``io.Workers``) while the command solves and writes its
-report; with one CPU, for an instance whose hash would itself be split
-over the CPUs, or if no worker can be started, they are computed inline.
+may run on two or more CPUs, they are computed in the program's one worker:
+a child forked once, pinned to the highest CPU of the affinity mask while
+the main thread keeps the others, that hashes the instance files into a
+memfd while the command solves and writes its report.  With one CPU, or if
+no child can be started, they are computed inline.  Everything else,
+including every matrix's text, is formatted in the process itself.
 In a regular file each "<name>_hash" field is written as ``PENDING_HASH``,
 64 characters wide, and overwritten in place with the digest once it is
 known; a report that is not a regular file waits for the digests.  The
@@ -31,7 +33,7 @@ bytes are the same either way.
 Reports are byte-identical across runs for fixed inputs and seeds; wall-clock
 timings are added only on request (``--timings``) since they would break that
 guarantee.  Library functions are looked up in this module's namespace at call
-time, so that a tracer can swap timing wrappers in for them; a hash worker
+time, so that a tracer can swap timing wrappers in for them; the hash worker
 calls ``instance_hash`` in its own process, so what a wrapper records there
 stays there.
 """
@@ -44,9 +46,11 @@ import functools
 import hashlib
 import json
 import os
+import signal
 import stat
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -61,8 +65,7 @@ from .diagnostics import (
     run_diagnostics,
 )
 from .entry import _check_report_tolerances, entry_report, solve_entry_pair
-from .io import (Workers, dumps_canonical, gen_instance, hash_splits, instance_hash,
-                 load_instance, read_json)
+from .io import dumps_canonical, gen_instance, instance_hash, load_instance, read_json
 from .model import (
     ConvergenceError,
     Coupling,
@@ -314,46 +317,96 @@ _COMMANDS = {
 PENDING_HASH = "-" * 64
 
 
-def _write_hashes(raws, out) -> None:
-    """In a worker: the instance hashes of ``raws``, back to back."""
-    for raw in raws:
-        out.write(instance_hash(raw))
+_CAN_FORK = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))
+
+
+def _pin(cpus) -> None:
+    """Restrict the calling thread to ``cpus``; where the kernel refuses (they
+    went offline), it keeps running where it may."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 class _Hashes:
     """Instance hashes of the loaded payloads.  Where this thread may run on
-    two or more CPUs they are computed in a forked worker on a CPU of its own
-    (``io.Workers``) while the command runs.  They are computed here, at
-    once, with one CPU, if the worker cannot be started, or if a hash would
-    itself be split over the CPUs (``io.hash_splits``): in a worker it would
-    run on one CPU and leave the report one fewer, which made a 1000 x 1000
-    ``solve --report`` on 2 CPUs about 10 % slower.  Used as a context
-    manager that stops the worker."""
+    two or more CPUs, one forked child pinned to the highest CPU of the
+    affinity mask computes them into a memfd while the main thread, pinned to
+    the other CPUs, runs the command.  Pinning both sides matters: unpinned,
+    short-lived children were seen to share the parent's CPU on a 2-vCPU
+    machine.  With one CPU, or if no child or memfd can be had, the hashes
+    are computed here at once.  Used as a context manager that kills the
+    child if it still runs and restores the mask."""
 
     def __init__(self, raws):
-        self._workers = Workers()
+        self._count, self._pid, self._fd, self._mask = len(raws), 0, None, None
         self._digests = None
-        if Workers.cpus() > 1 and not any(map(hash_splits, raws)):
+        cpus = sorted(os.sched_getaffinity(0)) if _CAN_FORK else []
+        if len(cpus) > 1:
             try:
-                self._workers.spawn(lambda out: _write_hashes(raws, out), "hashing the instance")
+                self._fork(raws, cpus)
                 return
             except OSError:  # no process or memfd to be had: hash here
-                self._workers.close()
+                self.close()
         self._digests = [instance_hash(raw) for raw in raws]
 
+    def _fork(self, raws, cpus) -> None:
+        self._fd = os.memfd_create("statechar-hash", os.MFD_CLOEXEC)
+        self._mask = set(cpus)
+        _pin(cpus[:-1])
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork() in a process with threads, and
+            # numpy's BLAS pool counts.  Safe here: the child hashes Python
+            # objects into its memfd and calls os._exit, taking no lock and
+            # running no BLAS.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning)
+            self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                _pin(cpus[-1:])
+                with open(self._fd, "w", encoding="ascii", closefd=False) as out:
+                    for raw in raws:
+                        out.write(instance_hash(raw))
+                code = 0
+            finally:
+                os._exit(code)
+
     def digests(self) -> list:
-        """The hex digests, in load order; waits for the worker."""
+        """The hex digests, in load order; waits for the child."""
         if self._digests is None:
-            text = "".join(self._workers.output(0))
-            self._workers.close()
+            pid, self._pid = self._pid, 0
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                raise OSError(f"process {pid} hashing the instance failed "
+                              f"(exit status {os.waitstatus_to_exitcode(status)})")
+            text = os.pread(self._fd, 64 * self._count, 0).decode("ascii")
+            self.close()
             self._digests = [text[i:i + 64] for i in range(0, len(text), 64)]
         return self._digests
+
+    def close(self) -> None:
+        """Kill and reap the child if it was not waited for, close the memfd
+        and restore this thread's affinity mask."""
+        try:
+            if self._pid:
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
+                self._pid = 0
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+        finally:
+            if self._mask is not None:
+                os.sched_setaffinity(0, self._mask)
+                self._mask = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self._workers.close()
+        self.close()
         return False
 
 
@@ -455,21 +508,31 @@ def _run(args) -> int:
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
+class _Sha256Writer:
+    """A text file's ``write`` that also feeds each piece to SHA-256."""
+
+    def __init__(self, fh):
+        self._fh, self.sha = fh, hashlib.sha256()
+
+    def write(self, piece) -> None:
+        self._fh.write(piece)
+        self.sha.update(piece.encode("utf-8"))
+
+
 def _cmd_gen(args) -> int:
     payload = gen_instance(args.seed, args.n, args.m,
                            u_range=(args.umin, args.umax),
                            alpha=args.alpha, lam=args.lam)
     validate_instance(payload)  # write only what every command accepts
-    text = dumps_canonical(payload)
     if args.out:
         with _open_output(args.out) as fh:
-            fh.write(text)
+            out = _Sha256Writer(fh)
+            dumps_canonical(payload, out)
         # gen_instance returns INSTANCE_FIELDS in canonical order, so this is
         # instance_hash(payload) without serializing the payload again.
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        print(f"wrote {args.out} (hash {digest[:12]})")
+        print(f"wrote {args.out} (hash {out.sha.hexdigest()[:12]})")
     else:
-        sys.stdout.write(text)
+        dumps_canonical(payload, sys.stdout)
     return EXIT_OK
 
 

@@ -14,22 +14,6 @@ SHA-256.  A report or hash therefore holds about one block of text beside
 its arrays: on a 1000 x 1000 instance a fresh ``statechar solve --report``
 peaks at 122 MB RSS, where building the 47 MB report as one string took
 301 MB.
-
-Work that runs beside this process's main thread goes to ``Workers``:
-forked children, each pinned to a CPU of the affinity mask
-(``os.sched_getaffinity``; restrict it with ``taskset``) of its own, while
-the main thread keeps the CPUs no worker has.  The mask is restored when
-they are closed, a failed child is an OSError, and no child outlives its
-``Workers``.  Pinning both sides matters: unpinned, short-lived children
-were seen to share the parent's CPU on a 2-vCPU machine.  A large float
-matrix is formatted on all CPUs the main thread may use: its rows are cut
-into contiguous blocks, workers write the text of all blocks but the first
-into memfds while this process emits the first, and the blocks' text is
-then emitted in order.  The bytes are the same as on one CPU.  Without
-``fork``, ``sched_getaffinity`` or ``memfd_create``, with one CPU left to
-the main thread (as with two allowed CPUs while a hash worker runs), or
-below ``_CELLS_PER_WORKER`` cells per process, every matrix is formatted
-here.  The workers' memory is not counted in this process's RSS.
 """
 
 from __future__ import annotations
@@ -38,9 +22,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
-import signal
-import warnings
 
 import numpy as np
 
@@ -53,7 +34,6 @@ __all__ = [
     "read_json",
     "instance_payload",
     "instance_hash",
-    "hash_splits",
     "gen_instance",
     "generated_instance",
 ]
@@ -61,21 +41,6 @@ __all__ = [
 INSTANCE_FIELDS = ("characteristics", "states", "utility", "phi", "mu",
                    "alpha", "lambda")
 
-
-# A float matrix is split across processes only when each gets at least this
-# many cells.  Measured on a 2-vCPU x86-64 sandbox (Python 3.11, numpy 2.4):
-# the canonical text of a random matrix of 2 * C cells (50 and 200 columns)
-# was hashed with 2 processes and with 1, 15 interleaved repeats each, while
-# a busy loop of the same user ran pinned to the second CPU; 10 runs over 25
-# minutes, in which the second vCPU was at times not there at all.  Median
-# cost of the split path against the serial one, per run, for float64 arrays
-# (report matrices): up to 1.07x at C = 50,000, 0.83x to 1.05x at 75,000,
-# 0.78x to 1.05x at 100,000.  Lists of float rows (parsed instances, gen) read
-# 0.95x to 1.19x at 75,000 and 100,000: their rows are type-checked here
-# first, and each page holding their floats is copied on first write while
-# both processes map it, a cost per cell that no C removes.  With the second
-# CPU free and no busy loop, the split path took 0.54x to 0.68x at 100,000.
-_CELLS_PER_WORKER = 75_000
 
 # Cells of float matrix rows formatted by one % template.  Measured on a
 # 2-vCPU x86-64 sandbox (Python 3.11): 1,024 and 4,096 cells format 300^2,
@@ -85,118 +50,6 @@ _CELLS_PER_WORKER = 75_000
 # the peak RSS by 38.7 MB at 4,096 cells, 34.6 MB at 1,024 and 31.8 MB with
 # one template per row.
 _BLOCK_CELLS = 1024
-
-# Largest piece of a worker's text passed on at once.
-_CHUNK = 1 << 16
-
-_CAN_FORK = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))
-
-
-def _pin(cpus) -> None:
-    """Restrict the calling thread to ``cpus``; where the kernel refuses (they
-    went offline), it keeps running where it may."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _run_worker(target, fd: int, cpu: int) -> None:
-    """In a forked child: pin to ``cpu``, call ``target`` with a text file on
-    ``fd``, then exit, with status 1 if anything raised; never returns."""
-    code = 1
-    try:
-        _pin((cpu,))
-        with open(fd, "w", encoding="ascii", buffering=_CHUNK, closefd=False) as out:
-            target(out)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class Workers:
-    """Forked worker processes, each on a CPU of its own.
-
-    Worker k runs on the (k + 1)-th highest CPU of the calling thread's
-    affinity mask (``os.sched_getaffinity``) as it was at the first
-    ``spawn``, and each ``spawn`` pins the calling thread to the CPUs no
-    worker has, so at most ``cpus() - 1`` workers fit.  ``cpus()`` then
-    reads the CPUs left to the calling thread, and 1 in a worker, so work
-    split further in either never shares a CPU.  Used as a context manager:
-    ``close`` (on exit) kills and reaps every worker not yet waited for and
-    restores the thread's affinity mask.
-    """
-
-    def __init__(self):
-        self._mask = None
-        self._workers = []  # [pid or 0 once reaped, memfd, task]
-
-    @staticmethod
-    def cpus() -> int:
-        """CPUs the calling thread may run on; 1 where ``fork``,
-        ``sched_getaffinity`` or ``memfd_create`` is missing."""
-        return len(os.sched_getaffinity(0)) if _CAN_FORK else 1
-
-    def spawn(self, target, task: str) -> int:
-        """Fork a worker that calls ``target(out)`` with an ASCII text file
-        and exits; returns its index.  ``task`` names it in errors."""
-        if self._mask is None:
-            self._mask = os.sched_getaffinity(0)
-        cpus, k = sorted(self._mask), len(self._workers)
-        if k + 1 >= len(cpus):
-            raise ValueError(f"no CPU left for a worker {task}")
-        _pin(cpus[:-1 - k])
-        fd = os.memfd_create("statechar-worker", os.MFD_CLOEXEC)
-        self._workers.append([0, fd, task])
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork() in a process with threads, and
-            # numpy's BLAS pool counts.  Safe here: a worker formats or hashes
-            # Python objects into its memfd and calls os._exit, taking no lock
-            # and running no BLAS.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-                DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _run_worker(target, fd, cpus[-1 - k])
-        self._workers[-1][0] = pid
-        return k
-
-    def output(self, k: int):
-        """Wait for worker k, then yield its text in pieces of at most _CHUNK
-        characters; OSError if it failed."""
-        pid, fd, task = self._workers[k]
-        if pid:
-            status = os.waitpid(pid, 0)[1]
-            self._workers[k][0] = 0
-            if status:
-                raise OSError(f"process {pid} {task} failed "
-                              f"(exit status {os.waitstatus_to_exitcode(status)})")
-        os.lseek(fd, 0, os.SEEK_SET)
-        while chunk := os.read(fd, _CHUNK):
-            yield chunk.decode("ascii")
-
-    def close(self) -> None:
-        """Kill and reap the workers not waited for, close their memfds and
-        restore the calling thread's affinity mask."""
-        try:
-            while self._workers:
-                pid, fd, _ = self._workers.pop()
-                if pid:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(fd)
-        finally:
-            if self._mask is not None:
-                os.sched_setaffinity(0, self._mask)
-                self._mask = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def _float_matrix(obj) -> bool:
@@ -209,26 +62,17 @@ def _float_matrix(obj) -> bool:
                and [*map(type, row)].count(float) == len(row) for row in obj)
 
 
-def _split_count(matrix) -> int:
-    """Processes that should format the rows of a float matrix: one per
-    _CELLS_PER_WORKER cells, at most one per row and one per CPU this thread
-    may run on."""
-    cells = matrix.size if isinstance(matrix, np.ndarray) else sum(map(len, matrix))
-    workers = min(cells // _CELLS_PER_WORKER, len(matrix))
-    return min(workers, Workers.cpus()) if workers > 1 else 1
-
-
 def _rows_template(width: int, rows: int) -> str:
     row = "[" + ", ".join(["%.17g"] * width) + "]"
     return ", ".join([row] * rows)
 
 
-def _emit_float_rows(rows, emit, lead: bool) -> None:
-    """``_canonical`` of each row of a float matrix, each after ", " (the
-    first only if ``lead``): consecutive rows of one width are formatted in
-    blocks of about _BLOCK_CELLS cells by one % template.  Templates are not
-    kept past the call: a long-lived string amid the heap keeps freed memory
-    from going back to the system."""
+def _emit_float_rows(rows, emit) -> None:
+    """``_canonical`` of each row of a float matrix, comma-separated:
+    consecutive rows of one width are formatted in blocks of about
+    _BLOCK_CELLS cells by one % template.  Templates are not kept past the
+    call: a long-lived string amid the heap keeps freed memory from going
+    back to the system."""
     i, count = 0, len(rows)
     shape, template = None, ""
     while i < count:
@@ -246,31 +90,10 @@ def _emit_float_rows(rows, emit, lead: bool) -> None:
         if shape != (width, j - i):
             shape = width, j - i
             template = _rows_template(*shape)
-        if i or lead:
+        if i:
             emit(", ")
         emit(template % cells)
         i = j
-
-
-def _write_rows(rows, out) -> None:
-    """In a worker: the rows' text, each after ", ", to ``out``."""
-    _emit_float_rows(rows, out.write, True)
-
-
-def _emit_split(rows, workers, emit) -> None:
-    """Emit the rows of a float matrix, comma-separated, on ``workers``
-    processes.  The rows are cut into contiguous blocks; a worker writes the
-    text of each block after the first while this process emits the first,
-    then each worker's text is passed on in order."""
-    bounds = [len(rows) * k // workers for k in range(workers + 1)]
-    with Workers() as pool:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pool.spawn(lambda out, lo=lo, hi=hi: _write_rows(rows[lo:hi], out),
-                       "formatting matrix rows")
-        _emit_float_rows(rows[:bounds[1]], emit, False)
-        for k in range(workers - 1):
-            for chunk in pool.output(k):
-                emit(chunk)
 
 
 def _canonical(obj, emit) -> None:
@@ -295,15 +118,13 @@ def _canonical(obj, emit) -> None:
         emit(_rows_template(len(obj), 1) % tuple(obj) if float in kinds else json.dumps(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         emit("[")
-        if not _float_matrix(obj):
+        if _float_matrix(obj):
+            _emit_float_rows(obj, emit)
+        else:
             for i, v in enumerate(obj):
                 if i:
                     emit(", ")
                 _canonical(v, emit)
-        elif (workers := _split_count(obj)) > 1:
-            _emit_split(obj, workers, emit)
-        else:
-            _emit_float_rows(obj, emit, False)
         emit("]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         emit("true" if obj else "false")
@@ -373,13 +194,6 @@ def instance_hash(raw: dict) -> str:
     _canonical(instance_payload(raw), lambda piece: sha.update(piece.encode("utf-8")))
     sha.update(b"\n")
     return sha.hexdigest()
-
-
-def hash_splits(raw: dict) -> bool:
-    """Whether ``instance_hash(raw)`` would format the utility matrix on more
-    than one process: with two or more CPUs left to this thread and at least
-    2 * _CELLS_PER_WORKER cells."""
-    return _split_count(raw["utility"]) > 1
 
 
 def gen_instance(seed: int, n: int, m: int, u_range=(0.0, 2.0),

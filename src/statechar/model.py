@@ -480,26 +480,33 @@ def partition_function(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
     return np.exp(log_partition(nu.weights, inst))
 
 
-def mnl_ccp(nu: Marginal, inst: ProblemInstance) -> np.ndarray:
+def mnl_ccp(nu: Marginal, inst: ProblemInstance, *,
+            log_z: np.ndarray | None = None) -> np.ndarray:
     """Weighted multinomial-logit conditional choice probabilities.
 
     P(x | theta) = phi(x)^alpha * nu(x)^(1-alpha) * exp(u/lambda) / Z(theta; nu).
     Columns sum to 1; all entries are strictly positive.  For alpha = 1 the
-    result does not depend on nu (Maxwell-Boltzmann form).
+    result does not depend on nu (Maxwell-Boltzmann form).  ``log_z``, when
+    given, must be ``log_partition(nu.weights, inst)``; it saves recomputing
+    the partition function.
     """
     log_w = _log_weights(nu.weights, inst)
-    log_z = inst._kernel.over_x(log_w)
+    if log_z is None:
+        log_z = inst._kernel.over_x(log_w)
     return np.exp(log_w[:, None] + inst.utility - log_z[None, :])
 
 
-def coupling_from_marginal(nu: Marginal, inst: ProblemInstance):
+def coupling_from_marginal(nu: Marginal, inst: ProblemInstance, *,
+                           ccp: np.ndarray | None = None):
     """Bayes-plausible coupling mu(theta) * mnl_ccp(nu) and its consistency gap.
 
     Returns ``(coupling, residual)`` where residual is the max-norm deviation
     of the coupling's row marginal from nu.  The residual vanishes exactly
-    when nu satisfies the outer first-order condition.
+    when nu satisfies the outer first-order condition.  ``ccp``, when given,
+    must be ``mnl_ccp(nu, inst)``.
     """
-    joint = mnl_ccp(nu, inst) * inst.mu[None, :]
-    coupling = Coupling(joint=joint)
+    if ccp is None:
+        ccp = mnl_ccp(nu, inst)
+    coupling = Coupling(joint=ccp * inst.mu[None, :])
     residual = float(np.max(np.abs(coupling.marginal_x - nu.weights)))
     return coupling, residual

@@ -251,15 +251,14 @@ def full_solve(inst: ProblemInstance,
     """
     outer = outer_solve(inst, tol=outer_tol, max_iter=max_iter)
     nu_star = outer.nu
-    ccp = mnl_ccp(nu_star, inst)
-    coupling, row_residual = coupling_from_marginal(nu_star, inst)
+    log_z = log_partition(nu_star.weights, inst)  # the one kernel call
+    ccp = mnl_ccp(nu_star, inst, log_z=log_z)
+    coupling, row_residual = coupling_from_marginal(nu_star, inst, ccp=ccp)
     u_star = objective_value(coupling, inst)
     f_star = outer.f_value
 
     a_scaled = inst.alpha * (np.log(nu_star.weights) - inst.log_phi)  # a = 0
-    pot = bridge.Potentials(a_scaled=a_scaled,
-                            b=log_partition(nu_star.weights, inst),
-                            gauge=bridge.GAUGE_NU_MEAN_ZERO)
+    pot = bridge.Potentials(a_scaled=a_scaled, b=log_z, gauge=bridge.GAUGE_NU_MEAN_ZERO)
     gap = bridge.certificate_gap(pot, coupling, nu_star, inst)
 
     inner = ()

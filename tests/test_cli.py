@@ -614,6 +614,43 @@ def test_report_writer_and_hash_hold_one_row_at_a_time(tmp_path):
     assert hash_peak < 1 << 20
 
 
+def test_gen_streams_its_text(tmp_path, monkeypatch, capsys):
+    # The 400 x 400 text is about 3 MB; once the payload is validated, gen may
+    # hold neither it nor its bytes, to a file or to stdout.
+    payload = gen_instance(0, 400, 400)
+    monkeypatch.setattr(statechar.cli, "gen_instance", lambda *args, **kwargs: payload)
+
+    def validated(raw, _fn=statechar.cli.validate_instance):
+        _fn(raw)  # gen drops the instance too
+        tracemalloc.reset_peak()  # from here on, only the writing counts
+
+    monkeypatch.setattr(statechar.cli, "validate_instance", validated)
+    path = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--n", "400", "--m", "400", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = dumps_canonical(payload)
+    assert len(text) > 3_000_000
+    assert path.read_text(encoding="utf-8") == text
+    assert capsys.readouterr().out == f"wrote {path} (hash {instance_hash(payload)[:12]})\n"
+    assert peak < 1 << 20
+
+    pieces = []
+
+    class Stdout:
+        def write(self, piece):
+            pieces.append(piece)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", Stdout())
+        assert main(["gen", "--n", "400", "--m", "400"]) == 0
+    assert "".join(pieces) == text
+    assert max(map(len, pieces)) < 1 << 16
+
+
 @pytest.mark.parametrize("obj", [
     {1, 2}, 1 + 2j, [0.5, 1j], {"a": [0.5, {0.5}]}, np.array([1 + 2j]),
     np.array(0.5),  # 0-d: not iterable, as in the reference
@@ -640,34 +677,9 @@ def test_blocks_of_rows_match_reference(monkeypatch, obj, block_cells):
     assert dumps_canonical({"m": obj}) == dumps_canonical_reference({"m": obj})
 
 
-# --- float matrices split across processes -------------------------------------
+# --- float matrices, formatted in the process ----------------------------------
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -2.5]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Make io split every float matrix of 2 or more rows across ``cpus``
-    processes; returns the pids forked so far.  The affinity mask is faked,
-    so setting it is a no-op: the real mask may hold other CPUs."""
-    if not statechar.io._CAN_FORK:
-        pytest.skip("needs os.fork, os.sched_getaffinity and os.memfd_create")
-    pids = []
-
-    def fork(_fork=os.fork):
-        pid = _fork()
-        pids.append(pid)
-        return pid
-
-    def force(cpus, chunk=None):
-        monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
-        monkeypatch.setattr(os, "fork", fork)
-        if chunk:
-            monkeypatch.setattr(statechar.io, "_CHUNK", chunk)
-        return pids
-    return force
 
 
 def _special_matrix(rows, kind):
@@ -677,108 +689,46 @@ def _special_matrix(rows, kind):
             "list": cells.tolist(), "tuple": tuple(map(tuple, cells.tolist()))}[kind]
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("kind", ["float64", "float32", "list", "tuple"])
-@pytest.mark.parametrize("rows", range(2, 8))
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_split_matrix_is_byte_identical(forks, monkeypatch, cpus, rows, kind, chunk):
-    matrix = _special_matrix(rows, kind)
+@pytest.mark.parametrize("matrix", [
+    *(pytest.param(_special_matrix(rows, kind), id=f"{kind}-{rows}")
+      for kind in ("float64", "float32", "list", "tuple") for rows in range(2, 8)),
+    pytest.param([[0.5, 1], [0.25, 0.75], [0.5, 0.5]], id="int-in-row"),
+    pytest.param([[0.5, 0.5], ["a", 0.75], [0.5, 0.5]], id="str-in-row"),
+    pytest.param([[0.5, 0.5], [], [0.5, 0.5]], id="empty-row"),
+    pytest.param([[0.5, 0.5], np.array([0.5, 0.5])], id="ndarray-row"),
+    pytest.param([[0.5, 0.5], [np.float64(0.5), 0.5]], id="float-subclass"),
+    pytest.param(np.array([[1, 2], [3, 4]]), id="int-array"),
+    pytest.param(np.array([[True, False], [False, True]]), id="bool-array"),
+    pytest.param(np.zeros((1, 6)), id="one-row-array"),
+    pytest.param([[0.5] * 6], id="one-row-list"),
+])
+def test_matrix_text_and_hash_match_reference(matrix):
     reference = dumps_canonical_reference({"m": matrix})
-    pids = forks(cpus, chunk)
-    pinned = []  # this process's affinity masks, as set
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(set(mask)))
-    assert dumps_canonical({"m": matrix}) == reference
-    workers = min(cpus, rows) - 1  # at most one process per row
-    assert len(pids) == workers
-    # Each spawn leaves the main thread the CPUs below the workers'; the mask
-    # is then restored.
-    assert pinned == [set(range(cpus - k)) for k in range(1, workers + 1)] + [set(range(cpus))]
     fh = io.StringIO()
     dumps_canonical({"m": matrix}, fh)
-    assert fh.getvalue() == reference
-    payload = dict(gen_instance(1, rows, 3), utility=matrix)
+    assert fh.getvalue() == dumps_canonical({"m": matrix}) == reference
+    payload = dict(gen_instance(1, 2, 3), utility=matrix)
     text = dumps_canonical_reference(statechar.io.instance_payload(payload))
     assert instance_hash(payload) == hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert len(pids) == 3 * (min(cpus, rows) - 1)
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_split_gen_keeps_golden_bytes(forks, tmp_path, cpus):
-    pids = forks(cpus)
-    path = tmp_path / "g.json"
-    main(["gen", "--seed", "3", "--n", "5", "--m", "4", "--out", str(path)])
-    assert pids
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256
-
-
-@pytest.mark.parametrize("matrix", [
-    [[0.5, 1], [0.25, 0.75], [0.5, 0.5]],       # an int in a row
-    [[0.5, 0.5], ["a", 0.75], [0.5, 0.5]],      # a str in a row
-    [[0.5, 0.5], [], [0.5, 0.5]],               # an empty row
-    [[0.5, 0.5], np.array([0.5, 0.5])],         # an ndarray row
-    [[0.5, 0.5], [np.float64(0.5), 0.5]],       # a float subclass
-    np.array([[1, 2], [3, 4]]),                 # an int array
-    np.array([[True, False], [False, True]]),   # a bool array
-    np.zeros((1, 6)), [[0.5] * 6],              # one row
-])
-def test_only_float_matrices_are_split(forks, matrix):
-    pids = forks(2)
-    assert dumps_canonical(matrix) == dumps_canonical_reference(matrix)
+def test_large_matrix_is_formatted_without_fork(monkeypatch):
+    # Even with four CPUs allowed, a 400 x 400 matrix is formatted here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+    pids = _recorded_forks(monkeypatch)
+    raw = gen_instance(0, 400, 400)
+    report = {"coupling": np.array(raw["utility"])}
+    assert dumps_canonical(report) == dumps_canonical_reference(report)
+    text = dumps_canonical_reference(statechar.io.instance_payload(raw))
+    assert instance_hash(raw) == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert pids == []
 
 
-def test_split_needs_cells_per_worker(forks, monkeypatch):
-    pids = forks(3)
-    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 10)
-    dumps_canonical(np.zeros((4, 5)))  # 20 cells: 2 processes
-    assert len(pids) == 1
-    dumps_canonical(np.zeros((3, 6)))  # 18 cells: 1 process
-    assert len(pids) == 1
-
-
-def test_split_child_failure_raises_oserror(forks, monkeypatch):
-    pids = forks(3)
-    monkeypatch.setattr(statechar.io, "_write_rows", lambda rows, out: os._exit(3))
-    fh = io.StringIO()
-    with pytest.raises(OSError, match=r"process \d+ formatting matrix rows failed "
-                                      r"\(exit status 3\)"):
-        dumps_canonical(np.zeros((4, 2)), fh)
-    assert len(pids) == 2
-    assert fh.getvalue() == "[[0, 0]"  # the first block only, no child text
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-@pytest.mark.parametrize("fail_at", [1, 2, 6, 12])
-def test_split_reaps_children_when_emit_raises(forks, exc, fail_at):
-    # Pieces: "[", the first block's rows, then the children's 7-byte chunks.
-    pids = forks(3, chunk=7)
-    written = []
-
-    class Sink:
-        def write(self, piece):
-            if len(written) == fail_at:
-                raise exc("sink failed")
-            written.append(piece)
-
-    with pytest.raises(exc, match="sink failed"):
-        dumps_canonical(_special_matrix(6, "float64"), Sink())
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_split_solve_report_under_warnings_as_errors(tmp_path):
-    # A report big enough for the split path on a machine with 2 or more CPUs;
-    # Python >= 3.12 warns on fork() while numpy's BLAS threads run.
+def test_solve_report_under_warnings_as_errors(tmp_path):
+    # A report forks the hash worker on a machine with 2 or more CPUs; Python
+    # >= 3.12 warns on fork() while numpy's BLAS threads run.
     n, m = 400, 400
-    assert n * m // statechar.io._CELLS_PER_WORKER >= 2
     path = write_instance(tmp_path, gen_instance(2, n, m))
     report = tmp_path / "r.json"
     code = ("import sys; from statechar.cli import main; "
@@ -835,7 +785,7 @@ def _assert_reaped(pids):
 
 @pytest.fixture
 def two_cpus():
-    if statechar.io.Workers.cpus() < 2:
+    if not statechar.cli._CAN_FORK or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs os.fork, os.sched_getaffinity, os.memfd_create and 2 CPUs")
     return sorted(os.sched_getaffinity(0))
 
@@ -921,50 +871,28 @@ def test_worker_and_main_thread_on_different_cpus(two_cpus, sym_file, tmp_path, 
     assert sorted(os.sched_getaffinity(0)) == two_cpus
 
 
-def test_report_splits_over_cpus_left_by_hash_worker(hash_files, tmp_path, monkeypatch):
-    # With a faked 4-CPU mask, the hash worker takes CPU 3 and the main thread
-    # keeps 0-2, over which the report's matrices are still split.
-    if not statechar.io._CAN_FORK:
-        pytest.skip("needs os.fork, os.sched_getaffinity and os.memfd_create")
-    argv = _hash_argv("solve", hash_files)
-    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
-    monkeypatch.setattr(statechar.cli, "hash_splits", lambda raw: False)
-    mask, pinned = [{0}], []
+def test_large_instance_is_hashed_in_the_worker(two_cpus, tmp_path, monkeypatch):
+    # 150,000 cells: the hash goes to the one worker whatever the size, and
+    # the report is formatted here.
+    path = write_instance(tmp_path, gen_instance(2, 400, 375))
+    log = tmp_path / "hashed.log"
 
-    def setaffinity(pid, cpus):
-        mask[0] = set(cpus)
-        pinned.append(set(cpus))
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
-    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
-    pids = _recorded_forks(monkeypatch)
-    assert main(argv + ["--report", str(tmp_path / "one.json")]) == 0
-    assert pids == [] and pinned == []
-    mask[0] = {0, 1, 2, 3}
-    assert main(argv + ["--report", str(tmp_path / "four.json")]) == 0
-    assert pinned[0] == {0, 1, 2} and pinned[-1] == {0, 1, 2, 3}
-    assert {0, 1} in pinned  # a matrix split on the main thread's three CPUs
-    assert len(pids) > 1
-    _assert_reaped(pids)
-    assert (tmp_path / "four.json").read_bytes() == (tmp_path / "one.json").read_bytes()
-    assert json.loads((tmp_path / "four.json").read_text())["instance_hash"] == _sha256(
-        hash_files[0])
-
-
-def test_hash_that_splits_runs_in_the_process(two_cpus, hash_files, tmp_path, monkeypatch):
-    # An instance big enough for its own hash to be split is hashed here.
-    monkeypatch.setattr(statechar.io, "_CELLS_PER_WORKER", 1)
-    hashed_in = []
-
-    def hashed(raw, _fn=statechar.cli.instance_hash):
-        hashed_in.append(os.getpid())
+    def hashed(raw, _fn=statechar.cli.instance_hash, _log=str(log)):
+        fd = os.open(_log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
         return _fn(raw)
 
     monkeypatch.setattr(statechar.cli, "instance_hash", hashed)
+    pids = _recorded_forks(monkeypatch)
     report = tmp_path / "r.json"
-    assert main(_hash_argv("solve", hash_files) + ["--report", str(report)]) == 0
-    assert hashed_in == [os.getpid()]
-    assert json.loads(report.read_text())["instance_hash"] == _sha256(hash_files[0])
+    assert main(["solve", "--instance", path, "--report", str(report)]) == 0
+    assert len(pids) == 1
+    assert log.read_text().split() == [str(pids[0])]
+    _assert_reaped(pids)
+    assert json.loads(report.read_text())["instance_hash"] == _sha256(path)
 
 
 def test_no_report_no_hash(sym_file, tmp_path, capsys, monkeypatch):
@@ -1046,7 +974,7 @@ def test_no_child_left_after_main(two_cpus, tmp_path, monkeypatch, outcome):
 
 
 def test_hash_worker_failure_raises_oserror(two_cpus, sym_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(statechar.cli, "_write_hashes", lambda raws, out: os._exit(3))
+    monkeypatch.setattr(statechar.cli, "instance_hash", lambda raw: os._exit(3))
     pids = _recorded_forks(monkeypatch)
     mask = os.sched_getaffinity(0)
     report = tmp_path / "r.json"

@@ -215,6 +215,26 @@ def test_full_solve_ccp_columns(sym2x2):
     np.testing.assert_allclose(sol.ccp.sum(axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("inst", [
+    generated_instance(3, 6, 5, alpha=0.35),
+    generated_instance(4, 5, 7, alpha=1.0),                      # log phi weights
+    generated_instance(5, 4, 6, u_range=(0.0, 800.0), lam=1.0),  # log-domain kernel
+], ids=["scaled", "alpha-one", "log-domain"])
+def test_full_solve_assembles_bitwise_as_the_model(inst):
+    # One kernel call gives ccp and log Z; the joint, the residual and the
+    # gap equal those built from coupling_from_marginal and log_partition.
+    sol = sc.full_solve(inst)
+    nu = sol.nu_star
+    coupling, residual = sc.coupling_from_marginal(nu, inst)
+    assert sol.ccp.tobytes() == sc.mnl_ccp(nu, inst).tobytes()
+    assert sol.coupling.joint.tobytes() == coupling.joint.tobytes()
+    assert sol.marginal_residual == residual
+    pot = sc.bridge.Potentials(a_scaled=inst.alpha * (np.log(nu.weights) - inst.log_phi),
+                               b=sc.log_partition(nu.weights, inst),
+                               gauge=sc.bridge.GAUGE_NU_MEAN_ZERO)
+    assert sol.duality_gap == sc.bridge.certificate_gap(pot, coupling, nu, inst)
+
+
 def test_full_solve_bridge_cross_check():
     inst = generated_instance(9, 3, 4, alpha=0.6)
     sol = sc.full_solve(inst, verify_with_bridge=True)
