@@ -689,34 +689,98 @@ def _special_matrix(rows, kind):
             "list": cells.tolist(), "tuple": tuple(map(tuple, cells.tolist()))}[kind]
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Fake an affinity mask of ``cpus`` CPUs and return the pids forked so
+    far: formatting forks none, however many CPUs the mask holds."""
+    def force(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+        return _recorded_forks(monkeypatch)
+    return force
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("kind", ["float64", "float32", "list", "tuple"])
+@pytest.mark.parametrize("rows", range(2, 8))
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_matrix_is_byte_identical(forks, monkeypatch, cpus, rows, kind, chunk):
+    # The matrix is split only into blocks of rows (of chunk cells, if set),
+    # all formatted in this process.
+    if chunk:
+        monkeypatch.setattr(statechar.io, "_BLOCK_CELLS", chunk)
+    matrix = _special_matrix(rows, kind)
+    reference = dumps_canonical_reference({"m": matrix})
+    pids = forks(cpus)
+    fh = io.StringIO()
+    dumps_canonical({"m": matrix}, fh)
+    assert fh.getvalue() == dumps_canonical({"m": matrix}) == reference
+    payload = dict(gen_instance(1, rows, 3), utility=matrix)
+    text = dumps_canonical_reference(statechar.io.instance_payload(payload))
+    assert instance_hash(payload) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert pids == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_gen_keeps_golden_bytes(forks, tmp_path, cpus):
+    pids = forks(cpus)
+    path = tmp_path / "g.json"
+    main(["gen", "--seed", "3", "--n", "5", "--m", "4", "--out", str(path)])
+    assert pids == []
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256
+
+
 @pytest.mark.parametrize("matrix", [
-    *(pytest.param(_special_matrix(rows, kind), id=f"{kind}-{rows}")
-      for kind in ("float64", "float32", "list", "tuple") for rows in range(2, 8)),
-    pytest.param([[0.5, 1], [0.25, 0.75], [0.5, 0.5]], id="int-in-row"),
-    pytest.param([[0.5, 0.5], ["a", 0.75], [0.5, 0.5]], id="str-in-row"),
-    pytest.param([[0.5, 0.5], [], [0.5, 0.5]], id="empty-row"),
-    pytest.param([[0.5, 0.5], np.array([0.5, 0.5])], id="ndarray-row"),
-    pytest.param([[0.5, 0.5], [np.float64(0.5), 0.5]], id="float-subclass"),
-    pytest.param(np.array([[1, 2], [3, 4]]), id="int-array"),
-    pytest.param(np.array([[True, False], [False, True]]), id="bool-array"),
-    pytest.param(np.zeros((1, 6)), id="one-row-array"),
-    pytest.param([[0.5] * 6], id="one-row-list"),
+    [[0.5, 1], [0.25, 0.75], [0.5, 0.5]],       # an int in a row
+    [[0.5, 0.5], ["a", 0.75], [0.5, 0.5]],      # a str in a row
+    [[0.5, 0.5], [], [0.5, 0.5]],               # an empty row
+    [[0.5, 0.5], np.array([0.5, 0.5])],         # an ndarray row
+    [[0.5, 0.5], [np.float64(0.5), 0.5]],       # a float subclass
+    np.array([[1, 2], [3, 4]]),                 # an int array
+    np.array([[True, False], [False, True]]),   # a bool array
+    np.zeros((1, 6)), [[0.5] * 6],              # one row
 ])
-def test_matrix_text_and_hash_match_reference(matrix):
+def test_only_float_matrices_are_split(forks, matrix):
+    # Only float matrices are formatted in blocks of rows; these take the
+    # per-item path, and none forks.
+    pids = forks(2)
     reference = dumps_canonical_reference({"m": matrix})
     fh = io.StringIO()
     dumps_canonical({"m": matrix}, fh)
     assert fh.getvalue() == dumps_canonical({"m": matrix}) == reference
+    assert dumps_canonical(matrix) == dumps_canonical_reference(matrix)
     payload = dict(gen_instance(1, 2, 3), utility=matrix)
     text = dumps_canonical_reference(statechar.io.instance_payload(payload))
     assert instance_hash(payload) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert pids == []
 
 
-def test_large_matrix_is_formatted_without_fork(monkeypatch):
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("fail_at", [1, 2, 6, 12])
+def test_split_reaps_children_when_emit_raises(forks, monkeypatch, exc, fail_at):
+    # One row per block, so the pieces are "[", six rows, five ", " and "]";
+    # the sink's error comes out of dumps_canonical, and no child is left.
+    monkeypatch.setattr(statechar.io, "_BLOCK_CELLS", 3)
+    pids = forks(3)
+    written = []
+
+    class Sink:
+        def write(self, piece):
+            if len(written) == fail_at:
+                raise exc("sink failed")
+            written.append(piece)
+
+    matrix = _special_matrix(6, "float64")
+    with pytest.raises(exc, match="sink failed"):
+        dumps_canonical(matrix, Sink())
+    assert len(written) == fail_at
+    assert dumps_canonical_reference(matrix).startswith("".join(written))
+    assert pids == []
+
+
+def test_large_matrix_is_formatted_without_fork(forks):
     # Even with four CPUs allowed, a 400 x 400 matrix is formatted here.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
-    pids = _recorded_forks(monkeypatch)
+    pids = forks(4)
     raw = gen_instance(0, 400, 400)
     report = {"coupling": np.array(raw["utility"])}
     assert dumps_canonical(report) == dumps_canonical_reference(report)
